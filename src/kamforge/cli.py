@@ -46,127 +46,65 @@ _TERMS = {"type": "array", "items": {"type": "array", "minItems": 4, "maxItems":
 _NUM = {"type": ["number", "string"]}
 _VEC = {"type": "array", "items": {"type": "number"}}
 _MAT = {"type": "array", "items": _VEC}
+_COUNT = {"type": "integer", "minimum": 1}
+
+_NF = {"context": _CONTEXT, "trunc": _TRUNC, "H": _TERMS, "Q": _TERMS}
+_ITER = {"tol": {"type": "number"}, "max_iter": _COUNT}
+
+
+def _schema(kind, required, optional=None):
+    """Closed object schema: the "kind" constant, then required, then optional fields."""
+    return {
+        "type": "object",
+        "properties": {"kind": {"const": kind}, **required, **(optional or {})},
+        "required": ["kind", *required],
+        "additionalProperties": False,
+    }
+
 
 SCENARIO_SCHEMAS = {
-    "formal-nf": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "formal-nf"},
-            "context": _CONTEXT,
-            "trunc": _TRUNC,
-            "H": _TERMS,
-            "Q": _TERMS,
-        },
-        "required": ["kind", "context", "trunc", "H", "Q"],
-        "additionalProperties": False,
-    },
-    "kolmogorov-nf": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "kolmogorov-nf"},
-            "context": _CONTEXT,
-            "trunc": _TRUNC,
-            "H": _TERMS,
-            "Q": _TERMS,
-        },
-        "required": ["kind", "context", "trunc", "H", "Q"],
-        "additionalProperties": False,
-    },
-    "resonances": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "resonances"},
-            "context": _CONTEXT,
-            "omega": {"type": "array"},
-            "N": {"type": "integer", "minimum": 1},
-        },
-        "required": ["kind", "context", "omega", "N"],
-        "additionalProperties": False,
-    },
-    "diophantine": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "diophantine"},
-            "context": _CONTEXT,
-            "omega": {"type": "array"},
-            "nu": _NUM,
-            "N": {"type": "integer", "minimum": 1},
-        },
-        "required": ["kind", "context", "omega", "nu", "N"],
-        "additionalProperties": False,
-    },
-    "liouville": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "liouville"},
-            "k_values": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+    "formal-nf": _schema("formal-nf", _NF),
+    "kolmogorov-nf": _schema("kolmogorov-nf", _NF),
+    "resonances": _schema(
+        "resonances", {"context": _CONTEXT, "omega": {"type": "array"}, "N": _COUNT}
+    ),
+    "diophantine": _schema(
+        "diophantine",
+        {"context": _CONTEXT, "omega": {"type": "array"}, "nu": _NUM, "N": _COUNT},
+    ),
+    "liouville": _schema(
+        "liouville",
+        {
+            "k_values": {"type": "array", "items": _COUNT},
             "nu": _NUM,
             "m": {"type": "integer", "minimum": 2},
         },
-        "required": ["kind", "k_values", "nu", "m"],
-        "additionalProperties": False,
-    },
-    "hadamard": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "hadamard"},
+    ),
+    "hadamard": _schema(
+        "hadamard",
+        {
             "context": _CONTEXT,
             "omega": {"type": "array"},
-            "N": {"type": "integer", "minimum": 1},
+            "N": _COUNT,
             "decay_rate": {"type": "number"},
         },
-        "required": ["kind", "context", "omega", "N", "decay_rate"],
-        "additionalProperties": False,
-    },
-    "measure": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "measure"},
-            "n": {"type": "integer", "minimum": 1},
+    ),
+    "measure": _schema(
+        "measure",
+        {
+            "n": _COUNT,
             "R": {"type": "number"},
             "C_values": {"type": "array", "items": {"type": "number"}},
             "nu": _NUM,
-            "N": {"type": "integer", "minimum": 1},
-            "samples": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer"},
-            "partitions": {"type": "integer", "minimum": 1},
-        },
-        "required": ["kind", "n", "R", "C_values", "nu", "N", "samples", "seed"],
-        "additionalProperties": False,
-    },
-    "lie-homogeneous": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "lie-homogeneous"},
-            "a": _VEC,
-            "b": _VEC,
-            "tol": {"type": "number"},
-            "max_iter": {"type": "integer", "minimum": 1},
-        },
-        "required": ["kind", "a", "b"],
-        "additionalProperties": False,
-    },
-    "lie-parametric": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "lie-parametric"},
-            "a": _MAT,
-            "b": _MAT,
-            "tol": {"type": "number"},
-            "max_iter": {"type": "integer", "minimum": 1},
-        },
-        "required": ["kind", "a", "b"],
-        "additionalProperties": False,
-    },
-    "selftest": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "selftest"},
+            "N": _COUNT,
+            "samples": _COUNT,
             "seed": {"type": "integer"},
         },
-        "required": ["kind"],
-        "additionalProperties": False,
-    },
+        {"partitions": _COUNT},
+    ),
+    "lie-homogeneous": _schema("lie-homogeneous", {"a": _VEC, "b": _VEC}, _ITER),
+    "lie-parametric": _schema("lie-parametric", {"a": _MAT, "b": _MAT}, _ITER),
+    "selftest": _schema("selftest", {}, {"seed": {"type": "integer"}}),
 }
 
 
@@ -184,10 +122,6 @@ def validate_scenario(obj) -> str:
     return kind
 
 
-def _context(obj) -> ScalarContext:
-    return ScalarContext.from_json(obj)
-
-
 def _series_from(ctx, trunc, mode, term_list) -> PoissonSeries:
     terms = [
         ((tuple(I), tuple(J), k), parse_literal(ctx, lit)) for I, J, k, lit in term_list
@@ -203,33 +137,27 @@ def _scalars(ctx, lst):
 # kind handlers
 
 
-def _run_formal_nf(params):
-    ctx = _context(params["context"])
+def _run_nf(params):
+    ctx = ScalarContext.from_json(params["context"])
     trunc = TruncationSpec.from_json(params["trunc"])
     H = IntegrableHamiltonian.from_series(_series_from(ctx, trunc, "torus", params["H"]))
     Q = _series_from(ctx, trunc, "torus", params["Q"])
-    res = normalform.formal_normal_form(H, Q)
-    return res.to_json(), {"dropped_terms": res.dropped_terms}
-
-
-def _run_kolmogorov_nf(params):
-    ctx = _context(params["context"])
-    trunc = TruncationSpec.from_json(params["trunc"])
-    H = IntegrableHamiltonian.from_series(_series_from(ctx, trunc, "torus", params["H"]))
-    Q = _series_from(ctx, trunc, "torus", params["Q"])
-    res = normalform.kolmogorov_normal_form(H, Q)
+    if params["kind"] == "formal-nf":
+        res = normalform.formal_normal_form(H, Q)
+    else:
+        res = normalform.kolmogorov_normal_form(H, Q)
     return res.to_json(), {"dropped_terms": res.dropped_terms}
 
 
 def _run_resonances(params):
-    ctx = _context(params["context"])
+    ctx = ScalarContext.from_json(params["context"])
     omega = _scalars(ctx, params["omega"])
     found = normalform.resonances(omega, params["N"])
     return {"resonances": [list(I) for I in found]}, {}
 
 
 def _run_diophantine(params):
-    ctx = _context(params["context"])
+    ctx = ScalarContext.from_json(params["context"])
     omega = diophantine.FrequencyVector(_scalars(ctx, params["omega"]), ctx)
     est = diophantine.kolmogorov_constant(omega, Fraction(str(params["nu"])), params["N"])
     return est.to_json(), {"smallest_denominator": est.c_est.to_json()}
@@ -247,7 +175,7 @@ def _run_liouville(params):
 
 
 def _run_hadamard(params):
-    ctx = _context(params["context"])
+    ctx = ScalarContext.from_json(params["context"])
     omega = diophantine.FrequencyVector(_scalars(ctx, params["omega"]), ctx)
     h = diophantine.small_denominator_series(omega, params["N"])
     rate = float(params["decay_rate"])
@@ -326,9 +254,13 @@ def _run_lie_parametric(params):
     }, {}
 
 
+def _run_selftest(params):
+    return selftest(params.get("seed", 0)), {}
+
+
 _HANDLERS = {
-    "formal-nf": _run_formal_nf,
-    "kolmogorov-nf": _run_kolmogorov_nf,
+    "formal-nf": _run_nf,
+    "kolmogorov-nf": _run_nf,
     "resonances": _run_resonances,
     "diophantine": _run_diophantine,
     "liouville": _run_liouville,
@@ -336,6 +268,7 @@ _HANDLERS = {
     "measure": _run_measure,
     "lie-homogeneous": _run_lie_homogeneous,
     "lie-parametric": _run_lie_parametric,
+    "selftest": _run_selftest,
 }
 
 
@@ -505,9 +438,14 @@ def selftest(seed: int = 0, bracket_sign: int = 1) -> dict:
 
 
 def _write_report(report: dict, out_path: str | None) -> None:
+    """Write the report atomically, or in place when the target is not a regular file."""
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out_path is None:
         sys.stdout.write(text)
+        return
+    if os.path.exists(out_path) and not os.path.isfile(out_path):
+        with open(out_path, "w") as fh:  # a device or FIFO must not be replaced
+            fh.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out_path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kamforge-")
@@ -529,6 +467,15 @@ def run_scenario(path: str, out: str | None = None, timings: bool = False) -> in
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"kamforge: cannot read scenario: {exc}\n")
         return 2
+    return _execute(raw, out, timings)
+
+
+def _execute(raw, out: str | None, timings: bool) -> int:
+    """Validate and run one scenario object and write its report.
+
+    Exit status: 0 on success, 1 on a structured computational error or a
+    failing selftest property, 2 on a schema error.
+    """
     try:
         kind = validate_scenario(raw)
     except SchemaError as exc:
@@ -542,10 +489,7 @@ def run_scenario(path: str, out: str | None = None, timings: bool = False) -> in
     series.reset_drop_count()
     t0 = time.perf_counter()
     try:
-        if kind == "selftest":
-            results, diag = selftest(raw.get("seed", 0)), {}
-        else:
-            results, diag = _HANDLERS[kind](raw)
+        results, diag = _HANDLERS[kind](raw)
     except KamError as exc:
         err = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ResonantDenominator):
@@ -561,18 +505,7 @@ def run_scenario(path: str, out: str | None = None, timings: bool = False) -> in
         diag["elapsed_seconds"] = time.perf_counter() - t0
     report["diagnostics"] = diag
     _write_report(report, out)
-    return 0
-
-
-def run_selftest(seed: int, out: str | None = None) -> int:
-    report = {
-        "scenario": {"kind": "selftest", "seed": seed},
-        "version": __version__,
-        "results": selftest(seed),
-        "diagnostics": {},
-    }
-    _write_report(report, out)
-    return 0 if report["results"]["all_pass"] else 1
+    return 0 if results.get("all_pass", True) else 1
 
 
 def main(argv=None) -> int:
@@ -592,7 +525,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         return run_scenario(args.scenario, args.out, args.timings)
-    return run_selftest(args.seed, args.out)
+    return _execute({"kind": "selftest", "seed": args.seed}, args.out, timings=False)
 
 
 def entry() -> None:

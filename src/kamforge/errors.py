@@ -67,3 +67,7 @@ class OrthogonalityCheckFailed(KamError):
 
 class SchemaError(KamError):
     """A scenario file does not validate against its kind's schema."""
+
+
+class InvalidInput(KamError, ValueError):
+    """A scalar context or literal is malformed, although it passed the schema."""

@@ -1,10 +1,16 @@
 """Constructive normal-form algorithms.
 
 Contains resonance detection, the triangular homological-equation solver
-for {H, -}, the order-by-order formal stability iteration (a central
-Poisson automorphism taking H + tQ into K[[p, t]]), the truncated
-Kolmogorov normal form H + c(t) + (ideal-square remainder), and the
-normal-space class map with certificate.
+for {H, -}, the two normal forms of H + tQ, and the normal-space class
+map with certificate.
+
+Both normal forms run one order-by-order loop, ``_iterate``: at each
+t-order it solves the homological equation for the terms it is told to
+kill and applies the flow of the solution.  The formal stability
+iteration kills all q-dependence (a central Poisson automorphism taking
+H + tQ into K[[p, t]]); the truncated Kolmogorov normal form kills only
+the part of p-degree <= 1 and adds a translation per order, leaving
+H + c(t) + (ideal-square remainder).
 """
 
 from __future__ import annotations
@@ -13,13 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .errors import (
-    ContextMismatch,
-    DegenerateAlpha,
-    ResonantDenominator,
-    TruncationExceeded,
-)
-from .scalar import CertifiedDecimal, exact_sign
+from .errors import DegenerateAlpha, ResonantDenominator, TruncationExceeded
+from .scalar import CertifiedDecimal, certified_root, exact_sign
 from .series import Generator, PoissonSeries, drop_count, flow_apply, poisson_bracket
 
 __all__ = [
@@ -192,44 +193,50 @@ def _with_t_factor(Q: PoissonSeries) -> PoissonSeries:
     return t * Q
 
 
-def _check_trunc_arg(series: PoissonSeries, trunc):
-    if trunc is not None and trunc != series.trunc:
-        raise ContextMismatch("explicit truncation disagrees with the series' window")
+def _iterate(H: IntegrableHamiltonian, Q: PoissonSeries, p_cap: int, two_alpha=None):
+    """The order-by-order normalization of H + tQ shared by both normal forms.
 
-
-def formal_normal_form(H: IntegrableHamiltonian, Q: PoissonSeries, trunc=None) -> NormalFormResult:
-    """Iteratively remove all q-dependence of H + tQ, one t-order at a time.
-
-    Emits one Hamiltonian generator per order; fails with
-    ResonantDenominator (carrying the vector and the t-order) when a
-    resonant monomial is met.
+    At t-order m the terms with k = m, I != 0 and p-degree <= p_cap are
+    killed by one Hamiltonian generator.  With ``two_alpha`` (Kolmogorov
+    mode) the averaged linear part b.p of order m is then removed by a
+    translation d = -(2 alpha)^{-1} b, and every order gets a ``per_order``
+    entry; otherwise only orders that had something to eliminate do.
     """
-    H.series._check(Q)
-    _check_trunc_arg(Q, trunc)
     trunc = Q.trunc
-    zero_I = (0,) * trunc.n
+    n = trunc.n
+    zero_I = (0,) * n
+    unit_J = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     drops0 = drop_count()
     current = H.series + _with_t_factor(Q)
     generators = []
     per_order = []
     min_sq = None
     for m in range(1, trunc.Dt + 1):
-        Rm = current.select(lambda I, J, k, m=m: k == m and I != zero_I)
-        if Rm.is_zero():
-            continue
-        try:
-            S, residual = homological_solve(H, Rm, p_cap=trunc.Dp)
-        except ResonantDenominator as exc:
-            raise ResonantDenominator(exc.vector, t_order=m) from None
-        for I in Rm.support_I():
-            min_sq = _min_abs_update(min_sq, H.pairing(I))
-        gen = Generator.hamiltonian(S)
-        current = flow_apply(gen, current)
-        generators.append(gen)
-        per_order.append({"t_order": m, "eliminated": len(Rm)})
-    leftover = current.select(lambda I, J, k: I != zero_I)
-    if not leftover.is_zero():  # cannot happen for nonresonant omega
-        raise RuntimeError("normal form retains q-dependent terms")
+        Rm = current.select(
+            lambda I, J, k, m=m: k == m and I != zero_I and sum(J) <= p_cap
+        )
+        eliminated = len(Rm)
+        if eliminated:
+            try:
+                S, _ = homological_solve(H, Rm, p_cap=p_cap)
+            except ResonantDenominator as exc:
+                raise ResonantDenominator(exc.vector, t_order=m) from None
+            for I in Rm.support_I():
+                min_sq = _min_abs_update(min_sq, H.pairing(I))
+            gen = Generator.hamiltonian(S)
+            current = flow_apply(gen, current)
+            generators.append(gen)
+        if two_alpha is not None:
+            b = [current.coefficient(zero_I, unit_J[i], m) for i in range(n)]
+            nonzero = sum(1 for x in b if exact_sign(x) != 0)
+            if nonzero:
+                d = solve_linear(two_alpha, [-x for x in b], Q.context)
+                gen = Generator.translation(m, d, Q.context)
+                current = flow_apply(gen, current)
+                generators.append(gen)
+                eliminated += nonzero
+        if eliminated or two_alpha is not None:
+            per_order.append({"t_order": m, "eliminated": eliminated})
     zero = current._like({})
     return NormalFormResult(
         generators=generators,
@@ -238,14 +245,22 @@ def formal_normal_form(H: IntegrableHamiltonian, Q: PoissonSeries, trunc=None) -
         remainder=zero,
         dropped_terms=drop_count() - drops0,
         per_order=per_order,
-        smallest_denominator=None if min_sq is None else _cert_sqrt(min_sq),
+        smallest_denominator=None if min_sq is None else certified_root(min_sq, 2),
     )
 
 
-def _cert_sqrt(squared) -> CertifiedDecimal:
-    from .scalar import certified_root
+def formal_normal_form(H: IntegrableHamiltonian, Q: PoissonSeries) -> NormalFormResult:
+    """Iteratively remove all q-dependence of H + tQ, one t-order at a time.
 
-    return certified_root(squared, 2)
+    Emits one Hamiltonian generator per order; fails with
+    ResonantDenominator (carrying the vector and the t-order) when a
+    resonant monomial is met.
+    """
+    H.series._check(Q)
+    res = _iterate(H, Q, p_cap=Q.trunc.Dp)
+    if res.normal.support_I() - {(0,) * Q.trunc.n}:  # cannot happen for nonresonant omega
+        raise RuntimeError("normal form retains q-dependent terms")
+    return res
 
 
 def exact_det(matrix) -> object:
@@ -290,7 +305,7 @@ def solve_linear(matrix, rhs, ctx):
     return tuple(ctx.coerce(A[i][n]) for i in range(n))
 
 
-def kolmogorov_normal_form(H: IntegrableHamiltonian, Q: PoissonSeries, trunc=None) -> NormalFormResult:
+def kolmogorov_normal_form(H: IntegrableHamiltonian, Q: PoissonSeries) -> NormalFormResult:
     """Truncated constructive Kolmogorov normal form: H + c(t) + I^2-remainder.
 
     Per t-order: the zero-average part of p-degree <= 1 is killed by a
@@ -301,59 +316,17 @@ def kolmogorov_normal_form(H: IntegrableHamiltonian, Q: PoissonSeries, trunc=Non
     remainder.
     """
     H.series._check(Q)
-    _check_trunc_arg(Q, trunc)
-    trunc = Q.trunc
-    n = trunc.n
-    ctx = Q.context
-    zero_I = (0,) * n
     two_alpha = tuple(tuple(x * 2 for x in row) for row in H.alpha)
     if exact_sign(exact_det(two_alpha)) == 0:
         raise DegenerateAlpha("quadratic part alpha is not invertible")
-    drops0 = drop_count()
-    current = H.series + _with_t_factor(Q)
-    generators = []
-    per_order = []
-    min_sq = None
-    unit_J = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    for m in range(1, trunc.Dt + 1):
-        Rm = current.select(
-            lambda I, J, k, m=m: k == m and I != zero_I and sum(J) <= 1
-        )
-        eliminated = len(Rm)
-        if not Rm.is_zero():
-            try:
-                S, _ = homological_solve(H, Rm, p_cap=1)
-            except ResonantDenominator as exc:
-                raise ResonantDenominator(exc.vector, t_order=m) from None
-            for I in Rm.support_I():
-                min_sq = _min_abs_update(min_sq, H.pairing(I))
-            gen = Generator.hamiltonian(S)
-            current = flow_apply(gen, current)
-            generators.append(gen)
-        b = [current.coefficient(zero_I, unit_J[i], m) for i in range(n)]
-        if any(exact_sign(x) != 0 for x in b):
-            d = solve_linear(two_alpha, [-x for x in b], ctx)
-            gen = Generator.translation(m, d, ctx)
-            current = flow_apply(gen, current)
-            generators.append(gen)
-            eliminated += sum(1 for x in b if exact_sign(x) != 0)
-        per_order.append({"t_order": m, "eliminated": eliminated})
-    normal = current
-    zero_J = (0,) * n
-    casimir = normal.select(lambda I, J, k: I == zero_I and J == zero_J and k >= 1)
-    remainder = normal - H.series - casimir
-    for (I, J, k), _ in remainder.items():  # cannot fail by construction
+    res = _iterate(H, Q, p_cap=1, two_alpha=two_alpha)
+    zero = (0,) * Q.trunc.n
+    res.casimir = res.normal.select(lambda I, J, k: I == J == zero and k >= 1)
+    res.remainder = res.normal - H.series - res.casimir
+    for (I, J, k), _ in res.remainder.items():  # cannot fail by construction
         if sum(J) < 2 or k < 1:
             raise RuntimeError(f"remainder term {(I, J, k)} outside I^2 (t)")
-    return NormalFormResult(
-        generators=generators,
-        normal=normal,
-        casimir=casimir,
-        remainder=remainder,
-        dropped_terms=drop_count() - drops0,
-        per_order=per_order,
-        smallest_denominator=None if min_sq is None else _cert_sqrt(min_sq),
-    )
+    return res
 
 
 @dataclass(frozen=True)
@@ -402,7 +375,7 @@ def _hyperbolic_class(H: PoissonSeries, f: PoissonSeries) -> NormalSpaceClass:
     )
 
 
-def normal_space_class(H, f: PoissonSeries, trunc=None) -> NormalSpaceClass:
+def normal_space_class(H, f: PoissonSeries) -> NormalSpaceClass:
     """Decompose f = {H, g} + i + c + sum nu_i p_i exactly mod truncation.
 
     Torus mode needs nonresonant omega (checked on the support actually
@@ -412,11 +385,9 @@ def normal_space_class(H, f: PoissonSeries, trunc=None) -> NormalSpaceClass:
     if isinstance(H, PoissonSeries):
         if H.mode != "symplectic":
             raise ValueError("a raw series Hamiltonian is only used in symplectic mode")
-        _check_trunc_arg(f, trunc)
         H._check(f)
         return _hyperbolic_class(H, f)
     H.series._check(f)
-    _check_trunc_arg(f, trunc)
     n = f.trunc.n
     ctx = f.context
     zero_I = (0,) * n

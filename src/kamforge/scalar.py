@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import ContextMismatch, DivisionByZero, RationalInput
+from .errors import ContextMismatch, DivisionByZero, InvalidInput, RationalInput
 
 __all__ = [
     "ScalarContext",
@@ -258,12 +258,12 @@ class ScalarContext:
 
     def __post_init__(self):
         if self.mode not in _MODES:
-            raise ValueError(f"unknown scalar mode {self.mode!r}")
+            raise InvalidInput(f"unknown scalar mode {self.mode!r}")
         if self.mode == "quadratic":
             if self.d is None or self.d < 2 or not is_square_free(self.d):
-                raise ValueError("quadratic context needs a square-free d >= 2")
+                raise InvalidInput("quadratic context needs a square-free d >= 2")
         elif self.d is not None:
-            raise ValueError(f"mode {self.mode!r} takes no radicand")
+            raise InvalidInput(f"mode {self.mode!r} takes no radicand")
 
     @property
     def zero(self):
@@ -450,16 +450,19 @@ def format_literal(ctx: ScalarContext, x):
 
 
 def parse_literal(ctx: ScalarContext, obj):
-    if ctx.mode == "float64":
-        return float(obj)
-    if isinstance(obj, list):
-        if len(obj) != 3:
-            raise ValueError(f"quadratic literal needs [a, b, d], got {obj!r}")
-        a = Fraction(str(obj[0]))
-        b = Fraction(str(obj[1]))
-        return ctx.coerce(QuadScalar(a, b, int(obj[2])))
-    if isinstance(obj, str):
-        return ctx.coerce(Fraction(obj))
-    if isinstance(obj, int):
-        return ctx.coerce(obj)
-    raise ValueError(f"cannot parse scalar literal {obj!r} in mode {ctx.mode}")
+    """Read a literal into ``ctx``; a malformed literal raises InvalidInput."""
+    try:
+        if ctx.mode == "float64":
+            return float(obj)
+        if isinstance(obj, list):
+            if len(obj) != 3:
+                raise ValueError("a quadratic literal is [a, b, d]")
+            value = QuadScalar(Fraction(str(obj[0])), Fraction(str(obj[1])), int(obj[2]))
+        elif isinstance(obj, (str, int)):
+            value = Fraction(obj)
+        else:
+            raise ValueError("not a scalar literal")
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        msg = f"cannot parse scalar literal {obj!r} in mode {ctx.mode}: {exc}"
+        raise InvalidInput(msg) from None
+    return ctx.coerce(value)

@@ -178,11 +178,6 @@ class PoissonSeries:
         """Sub-series of the terms whose key satisfies ``pred(I, J, k)``."""
         return self._like({key: c for key, c in self._terms.items() if pred(*key)})
 
-    def average(self) -> "PoissonSeries":
-        """Torus average: keeps exactly the terms with I = 0."""
-        zero_I = (0,) * self.trunc.n
-        return self.select(lambda I, J, k: I == zero_I)
-
     def t_part(self, k0: int) -> "PoissonSeries":
         return self.select(lambda I, J, k: k == k0)
 
@@ -360,7 +355,9 @@ def poisson_bracket(f: PoissonSeries, g: PoissonSeries) -> PoissonSeries:
 
 
 def average(f: PoissonSeries) -> PoissonSeries:
-    return f.average()
+    """Torus average: keeps exactly the terms with I = 0."""
+    zero_I = (0,) * f.trunc.n
+    return f.select(lambda I, J, k: I == zero_I)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
+import kamforge.cli as cli
 from kamforge.cli import main, run_scenario, selftest, validate_scenario
 from kamforge.errors import SchemaError
 
@@ -60,12 +64,25 @@ def test_malformed_scenario(tmp_path):
         validate_scenario([1, 2, 3])
 
 
-def test_resonant_failure_is_report_not_crash(tmp_path):
+# omega = (1, -2) is resonant at I = (2, 1); Kolmogorov mode needs alpha invertible
+RESONANT_H = {
+    "formal-nf": [[[0, 0], [1, 0], 0, "1"], [[0, 0], [0, 1], 0, "-2"]],
+    "kolmogorov-nf": [
+        [[0, 0], [1, 0], 0, "1"],
+        [[0, 0], [0, 1], 0, "-2"],
+        [[0, 0], [2, 0], 0, "1/2"],
+        [[0, 0], [0, 2], 0, "1/2"],
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RESONANT_H))
+def test_resonant_failure_is_report_not_crash(tmp_path, kind):
     scen = {
-        "kind": "formal-nf",
+        "kind": kind,
         "context": {"mode": "rational"},
         "trunc": {"n": 2, "Dp": 2, "Dt": 2, "Nq": 3},
-        "H": [[[0, 0], [1, 0], 0, "1"], [[0, 0], [0, 1], 0, "-2"]],
+        "H": RESONANT_H[kind],
         "Q": [[[2, 1], [0, 0], 0, "1"]],
     }
     out = tmp_path / "r.json"
@@ -109,6 +126,52 @@ def test_main_selftest_byte_identical(tmp_path):
     assert main(["selftest", "--seed", "7", "--out", str(a)]) == 0
     assert main(["selftest", "--seed", "7", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+BAD_INPUT = {
+    "quadratic-without-d": ({"mode": "quadratic"}, ["1", "2"]),
+    "quadratic-d-not-square-free": ({"mode": "quadratic", "d": 4}, ["1", "2"]),
+    "fraction-in-float64": ({"mode": "float64"}, ["1/3", "1"]),
+    "non-numeric-literal": ({"mode": "rational"}, ["abc", "1"]),
+    "zero-denominator": ({"mode": "rational"}, ["1/0", "1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_invalid_scalar_input_is_report_not_crash(tmp_path, case):
+    context, omega = BAD_INPUT[case]
+    scen = {"kind": "resonances", "context": context, "omega": omega, "N": 2}
+    out = tmp_path / "r.json"
+    assert main(["run", write(tmp_path, "s.json", scen), "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["error"]["type"] == "InvalidInput"
+
+
+def test_failing_selftest_exits_nonzero_on_run(tmp_path, monkeypatch):
+    def failing(seed=0):
+        return {"kind": "selftest", "seed": seed, "properties": {}, "all_pass": False}
+
+    monkeypatch.setattr(cli, "selftest", failing)
+    out = tmp_path / "r.json"
+    scen = write(tmp_path, "s.json", {"kind": "selftest", "seed": 1})
+    assert main(["run", scen, "--out", str(out)]) == 1
+    assert main(["selftest", "--seed", "1", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["results"]["all_pass"] is False
+
+
+def test_report_to_fifo_is_written_in_place(tmp_path):
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    expected = tmp_path / "expected.json"
+    scen = write(tmp_path, "s.json", KNF)
+    assert main(["run", scen, "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive(), "nothing was written into the FIFO"
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert main(["run", scen, "--out", str(expected)]) == 0
+    assert received == [expected.read_text()]
 
 
 def test_console_entry_point(tmp_path):
