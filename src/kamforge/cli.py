@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -22,9 +23,9 @@ import jsonschema
 import numpy as np
 
 from . import __version__, diophantine, lie, normalform, series
-from .errors import KamError, ResonantDenominator, SchemaError
+from .errors import InvalidInput, KamError, NonFiniteResult, ResonantDenominator, SchemaError
 from .normalform import IntegrableHamiltonian
-from .scalar import ScalarContext, parse_literal, quadratic
+from .scalar import RATIONAL, ScalarContext, parse_literal, quadratic
 from .series import Generator, PoissonSeries, TruncationSpec, compose_flows, poisson_bracket
 
 _CONTEXT = {
@@ -38,13 +39,24 @@ _CONTEXT = {
 }
 _TRUNC = {
     "type": "object",
-    "properties": {k: {"type": "integer", "minimum": 0} for k in ("n", "Dp", "Dt", "Nq")},
+    "properties": {
+        "n": {"type": "integer", "minimum": 1},
+        **{k: {"type": "integer", "minimum": 0} for k in ("Dp", "Dt", "Nq")},
+    },
     "required": ["n", "Dp", "Dt", "Nq"],
     "additionalProperties": False,
 }
-_TERMS = {"type": "array", "items": {"type": "array", "minItems": 4, "maxItems": 4}}
 _NUM = {"type": ["number", "string"]}
 _VEC = {"type": "array", "items": {"type": "number"}}
+_INTS = {"type": "array", "items": {"type": "integer"}}
+# a term [I, J, k, literal]; the literal's form depends on the context
+_TERM = {
+    "type": "array",
+    "prefixItems": [_INTS, _INTS, {"type": "integer"}],
+    "minItems": 4,
+    "maxItems": 4,
+}
+_TERMS = {"type": "array", "items": _TERM}
 _MAT = {"type": "array", "items": _VEC}
 _COUNT = {"type": "integer", "minimum": 1}
 
@@ -133,6 +145,12 @@ def _scalars(ctx, lst):
     return tuple(parse_literal(ctx, x) for x in lst)
 
 
+def _nu(params) -> Fraction:
+    """nu belongs to no scalar context, so it is handed on as a Fraction."""
+    nu = parse_literal(RATIONAL, str(params["nu"]))
+    return Fraction(nu.a, nu.den)
+
+
 # ---------------------------------------------------------------------------
 # kind handlers
 
@@ -159,12 +177,12 @@ def _run_resonances(params):
 def _run_diophantine(params):
     ctx = ScalarContext.from_json(params["context"])
     omega = diophantine.FrequencyVector(_scalars(ctx, params["omega"]), ctx)
-    est = diophantine.kolmogorov_constant(omega, Fraction(str(params["nu"])), params["N"])
+    est = diophantine.kolmogorov_constant(omega, _nu(params), params["N"])
     return est.to_json(), {"smallest_denominator": est.c_est.to_json()}
 
 
 def _run_liouville(params):
-    nu = Fraction(str(params["nu"]))
+    nu = _nu(params)
     ws = [diophantine.liouville_witness(k, nu, params["m"]) for k in params["k_values"]]
     powers = [w.product_power() for w in ws]
     decreasing = all(powers[i + 1] < powers[i] for i in range(len(powers) - 1))
@@ -195,7 +213,7 @@ def _run_hadamard(params):
 
 
 def _run_measure(params):
-    nu = Fraction(str(params["nu"]))
+    nu = _nu(params)
     out = []
     for C in params["C_values"]:
         est = diophantine.measure_estimate(
@@ -215,6 +233,8 @@ def _run_measure(params):
 def _run_lie_homogeneous(params):
     a = np.asarray(params["a"], dtype=float)
     b = np.asarray(params["b"], dtype=float)
+    if a.shape != b.shape or not a.any():
+        raise InvalidInput("lie-homogeneous needs a nonzero vector a and a vector b of its length")
     action = lie.vector_action()
 
     def j(v):
@@ -236,8 +256,14 @@ def _run_lie_homogeneous(params):
 
 
 def _run_lie_parametric(params):
-    a = np.asarray(params["a"], dtype=float)
-    b = np.asarray(params["b"], dtype=float)
+    msg = "lie-parametric needs square matrices a and b of one size"
+    try:
+        a = np.asarray(params["a"], dtype=float)
+        b = np.asarray(params["b"], dtype=float)
+    except ValueError:  # ragged rows
+        raise InvalidInput(msg) from None
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
+        raise InvalidInput(msg)
     transversal = lie.transversal_from_commutant(a)
     gens, alpha_total, trace = lie.lie_iterate_parametric(
         a, b, transversal,
@@ -318,8 +344,6 @@ def selftest(seed: int = 0, bracket_sign: int = 1) -> dict:
 
     # Jacobi (+ antisymmetry and Leibniz), both bracket modes, with
     # degree budgets keeping all intermediate products inside the window.
-    from .scalar import RATIONAL
-
     trunc = TruncationSpec(n=2, Dp=4, Dt=3, Nq=4)
     ok, trials = True, 0
     for mode in ("torus", "symplectic"):
@@ -395,27 +419,25 @@ def selftest(seed: int = 0, bracket_sign: int = 1) -> dict:
     # Oracle equivalence: normal forms reproduced by composing their flows.
     ok, detail = True, ""
     try:
-        from .scalar import RATIONAL as R_
-
         trunc = TruncationSpec(n=1, Dp=3, Dt=3, Nq=3)
-        Hs = PoissonSeries(R_, trunc, "torus", {((0,), (1,), 0): 1})
+        Hs = PoissonSeries(RATIONAL, trunc, "torus", {((0,), (1,), 0): 1})
         H1 = IntegrableHamiltonian.from_series(Hs)
         Q = PoissonSeries(
-            R_,
+            RATIONAL,
             trunc,
             "torus",
             {((0,), (2,), 0): 1, ((1,), (1,), 0): 1, ((-1,), (1,), 0): 1},
         )
         res = normalform.formal_normal_form(H1, Q)
-        t = PoissonSeries.monomial(R_, trunc, "torus", 1, k=1)
+        t = PoissonSeries.monomial(RATIONAL, trunc, "torus", 1, k=1)
         if compose_flows(res.generators, Hs + t * Q) != res.normal:
             ok, detail = False, "formal normal form disagrees with its flow oracle"
-        Hk = PoissonSeries(R_, trunc, "torus", {((0,), (1,), 0): 3, ((0,), (2,), 0): Fraction(1, 2)})
+        Hk = PoissonSeries(RATIONAL, trunc, "torus", {((0,), (1,), 0): 3, ((0,), (2,), 0): Fraction(1, 2)})
         H2 = IntegrableHamiltonian.from_series(Hk)
-        Qk = PoissonSeries(R_, trunc, "torus", {((0,), (1,), 0): 1})
+        Qk = PoissonSeries(RATIONAL, trunc, "torus", {((0,), (1,), 0): 1})
         resk = normalform.kolmogorov_normal_form(H2, Qk)
         expected_c = PoissonSeries(
-            R_, trunc, "torus", {((0,), (0,), 1): -3, ((0,), (0,), 2): Fraction(-1, 2)}
+            RATIONAL, trunc, "torus", {((0,), (0,), 1): -3, ((0,), (0,), 2): Fraction(-1, 2)}
         )
         if resk.casimir != expected_c or not resk.remainder.is_zero():
             ok, detail = False, "Kolmogorov normal form disagrees with the substitution oracle"
@@ -437,9 +459,16 @@ def selftest(seed: int = 0, bracket_sign: int = 1) -> dict:
 # report plumbing
 
 
-def _write_report(report: dict, out_path: str | None) -> None:
+def _dumps(report: dict) -> str:
+    """The report as strict JSON text; a non-finite float raises NonFiniteResult."""
+    try:
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFiniteResult(f"a result is not a finite number ({exc})") from None
+
+
+def _write_report(text: str, out_path: str | None) -> None:
     """Write the report atomically, or in place when the target is not a regular file."""
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out_path is None:
         sys.stdout.write(text)
         return
@@ -463,11 +492,28 @@ def run_scenario(path: str, out: str | None = None, timings: bool = False) -> in
     """Execute a scenario file and write its report; returns the exit status."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"kamforge: cannot read scenario: {exc}\n")
         return 2
+    except SchemaError as exc:  # the report cannot echo a non-finite number
+        return _schema_error(None, exc, out)
     return _execute(raw, out, timings)
+
+
+def _finite(text: str) -> float:
+    """Read a JSON number or constant; a scenario holds finite numbers only."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise SchemaError(f"scenario holds the non-finite number {text}")
+    return x
+
+
+def _schema_error(raw, exc: SchemaError, out: str | None) -> int:
+    sys.stderr.write(f"kamforge: {exc}\n")
+    error = {"type": "SchemaError", "message": str(exc)}
+    _write_report(_dumps({"scenario": raw, "version": __version__, "error": error}), out)
+    return 2
 
 
 def _execute(raw, out: str | None, timings: bool) -> int:
@@ -479,17 +525,16 @@ def _execute(raw, out: str | None, timings: bool) -> int:
     try:
         kind = validate_scenario(raw)
     except SchemaError as exc:
-        sys.stderr.write(f"kamforge: {exc}\n")
-        _write_report(
-            {"scenario": raw, "version": __version__, "error": {"type": "SchemaError", "message": str(exc)}},
-            out,
-        )
-        return 2
+        return _schema_error(raw, exc, out)
     report = {"scenario": raw, "version": __version__}
     series.reset_drop_count()
     t0 = time.perf_counter()
     try:
         results, diag = _HANDLERS[kind](raw)
+        diag.setdefault("dropped_terms", series.drop_count())
+        if timings:
+            diag["elapsed_seconds"] = time.perf_counter() - t0
+        text = _dumps({**report, "results": results, "diagnostics": diag})
     except KamError as exc:
         err = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ResonantDenominator):
@@ -497,14 +542,9 @@ def _execute(raw, out: str | None, timings: bool) -> int:
             if exc.t_order is not None:
                 err["t_order"] = exc.t_order
         report["error"] = err
-        _write_report(report, out)
+        _write_report(_dumps(report), out)
         return 1
-    report["results"] = results
-    diag.setdefault("dropped_terms", series.drop_count())
-    if timings:
-        diag["elapsed_seconds"] = time.perf_counter() - t0
-    report["diagnostics"] = diag
-    _write_report(report, out)
+    _write_report(text, out)
     return 0 if results.get("all_pass", True) else 1
 
 

@@ -20,7 +20,6 @@ from .scalar import (
     CertifiedDecimal,
     ScalarContext,
     certified_root,
-    exact_floor,
     exact_sign,
 )
 
@@ -98,9 +97,9 @@ class DiophantineEstimate:
         }
 
 
-def _power_key(dot, nrm2: int, p: int, q: int):
-    """Exact value of (|(omega,I)| * |I|^s)**(2q) for s = p/q."""
-    return (dot * dot) ** q * Fraction(nrm2) ** p
+def _power_key(dot, nrm2: int, s: Fraction):
+    """Exact value of (|dot| * |I|^s)**(2q) for s = p/q and |I|^2 = nrm2."""
+    return (dot * dot) ** s.denominator * Fraction(nrm2) ** s.numerator
 
 
 def kolmogorov_constant(omega: FrequencyVector, nu, N: int) -> DiophantineEstimate:
@@ -128,7 +127,7 @@ def kolmogorov_constant(omega: FrequencyVector, nu, N: int) -> DiophantineEstima
             best["key"] = Fraction(0)
             best["worst"] = _normalize(I)
             return True
-        key = _power_key(dot, sum(x * x for x in I), p_, q_)
+        key = _power_key(dot, sum(x * x for x in I), s)
         if best["key"] is None or exact_sign(key - best["key"]) < 0:
             best["key"] = key
             best["worst"] = _normalize(I)
@@ -178,7 +177,7 @@ def _scan_dim2(omega, N, p_, q_, consider, best) -> bool:
     for b in range(1, N + 1):
         for I2 in (b, -b):
             xstar = -(w2 * I2) / w1
-            c0 = exact_floor(xstar)
+            c0 = xstar.floor()
             r = 1
             lo, hi = c0, c0 + 1
             while r <= 2 * N:
@@ -216,10 +215,7 @@ class LiouvilleWitness:
 
     def product_power(self) -> Fraction:
         """Exact (pairing * |beta|^(1+nu))**(2 dq) with 1 + nu = dp/dq."""
-        e = 1 + self.nu
-        return self.pairing_exact ** (2 * e.denominator) * Fraction(
-            self.norm_sq
-        ) ** e.numerator
+        return _power_key(self.pairing_exact, self.norm_sq, 1 + self.nu)
 
     def to_json(self) -> dict:
         return {
@@ -249,7 +245,7 @@ def liouville_witness(k: int, nu, m: int) -> LiouvilleWitness:
     norm_sq = beta[0] * beta[0] + beta[1] * beta[1]
     nu = Fraction(nu)
     e = 1 + nu
-    prod_pow = pairing ** (2 * e.denominator) * Fraction(norm_sq) ** e.numerator
+    prod_pow = _power_key(pairing, norm_sq, e)
     return LiouvilleWitness(
         k=k,
         nu=nu,
@@ -377,9 +373,8 @@ def _exact_bad(sample, C, s: Fraction, lattice) -> bool:
     w = [Fraction(x) for x in sample]
     Csq = Fraction(C) ** (2 * s.denominator)
     for I in lattice:
-        dot = sum(wi * int(i) for wi, i in zip(w, I))
-        nrm2 = Fraction(int(sum(i * i for i in I)))
-        if (dot * dot) ** s.denominator * nrm2**s.numerator < Csq:
+        dot = sum(wi * i for wi, i in zip(w, I))
+        if _power_key(dot, sum(i * i for i in I), s) < Csq:
             return True
     return False
 

@@ -65,9 +65,13 @@ class OrthogonalityCheckFailed(KamError):
     """A transversal candidate failed the orbit-orthogonality verification."""
 
 
+class NonFiniteResult(KamError):
+    """A result is NaN or infinite, which a strict JSON report cannot hold."""
+
+
 class SchemaError(KamError):
     """A scenario file does not validate against its kind's schema."""
 
 
 class InvalidInput(KamError, ValueError):
-    """A scalar context or literal is malformed, although it passed the schema."""
+    """An input is malformed or inconsistent, although it passed the schema."""

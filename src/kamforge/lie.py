@@ -212,6 +212,40 @@ def _fit_order_or_none(trace: IterationTrace) -> float | None:
         return None
 
 
+def _iterate(a, b, step, max_iter, tol, basin_radius):
+    """The Lie loop shared by both iterations.
+
+    ``step(b_n, trace)`` returns (xi_n, b_{n+1}) and may record extra
+    per-step norms in ``trace``.  The loop stops once |b| <= tol; it raises
+    NoConvergence on a non-finite |b|, or when ``max_iter`` steps did not
+    reduce it.
+    """
+    basin = default_basin_radius(a) if basin_radius is None else basin_radius
+    if np.linalg.norm(b) > basin:
+        raise BasinExceeded(f"|b| = {np.linalg.norm(b):.3e} exceeds basin {basin:.3e}")
+    trace = IterationTrace()
+    gens = []
+    bn = b
+    trace.b_norms.append(float(np.linalg.norm(bn)))
+    for _ in range(max_iter):
+        if trace.b_norms[-1] <= tol:
+            trace.termination = "converged"
+            break
+        xi, bn = step(bn, trace)
+        gens.append(xi)
+        trace.xi_norms.append(float(np.linalg.norm(xi)))
+        trace.b_norms.append(float(np.linalg.norm(bn)))
+        if not np.isfinite(trace.b_norms[-1]):
+            raise NoConvergence(f"|b| is not finite after {len(gens)} steps")
+    else:
+        if trace.b_norms[-1] >= trace.b_norms[0]:
+            raise NoConvergence(f"no error reduction after {max_iter} steps")
+        trace.termination = "max_iter"
+    trace.measure_quad_constant()
+    trace.order = _fit_order_or_none(trace)
+    return gens, trace
+
+
 def lie_iterate_homogeneous(
     action: GroupAction,
     a: np.ndarray,
@@ -234,31 +268,14 @@ def lie_iterate_homogeneous(
     for _ in range(8):
         v = rng.standard_normal(b.shape)
         err = np.linalg.norm(action.infinitesimal(j(v), a) - v)
-        if err > 1e-10 * np.linalg.norm(v):
+        if not err <= 1e-10 * np.linalg.norm(v):  # a NaN error fails too
             raise ValueError("j is not a right inverse of the infinitesimal action")
-    basin = default_basin_radius(a) if basin_radius is None else basin_radius
-    if np.linalg.norm(b) > basin:
-        raise BasinExceeded(f"|b| = {np.linalg.norm(b):.3e} exceeds basin {basin:.3e}")
-    trace = IterationTrace()
-    gens = []
-    bn = b
-    trace.b_norms.append(float(np.linalg.norm(bn)))
-    for _ in range(max_iter):
-        if np.linalg.norm(bn) <= tol:
-            trace.termination = "converged"
-            break
+
+    def step(bn, trace):
         xi = j(bn)
-        gens.append(xi)
-        trace.xi_norms.append(float(np.linalg.norm(xi)))
-        bn = action.apply(-xi, a + bn) - a
-        trace.b_norms.append(float(np.linalg.norm(bn)))
-    else:
-        if trace.b_norms[-1] >= trace.b_norms[0]:
-            raise NoConvergence(f"no error reduction after {max_iter} steps")
-        trace.termination = "max_iter"
-    trace.measure_quad_constant()
-    trace.order = _fit_order_or_none(trace)
-    return gens, trace
+        return xi, action.apply(-xi, a + bn) - a
+
+    return _iterate(a, b, step, max_iter, tol, basin_radius)
 
 
 def lie_iterate_parametric(
@@ -281,13 +298,12 @@ def lie_iterate_parametric(
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
-    basin = default_basin_radius(a) if basin_radius is None else basin_radius
-    if np.linalg.norm(b) > basin:
-        raise BasinExceeded(f"|b| = {np.linalg.norm(b):.3e} exceeds basin {basin:.3e}")
     T_cols = np.stack([_vec(np.asarray(M, dtype=float)) for M in transversal.mats], axis=1)
     eye = np.eye(n)
+    an = a.copy()
 
-    def solve_j(an, bn):
+    def step(bn, trace):
+        nonlocal an
         K = np.kron(an.T, eye) - np.kron(eye, an)  # vec([xi, an]) columns
         M = np.hstack([T_cols, K])
         x, _, rank, _ = np.linalg.lstsq(M, _vec(bn), rcond=_RANK_TOL)
@@ -297,30 +313,13 @@ def lie_iterate_parametric(
             )
         alpha = sum(c * np.asarray(Mt, dtype=float) for c, Mt in zip(x[: transversal.dim], transversal.mats))
         xi = _unvec(x[transversal.dim :], n)
-        return np.asarray(alpha), xi
-
-    trace = IterationTrace()
-    gens = []
-    an, bn = a.copy(), b.copy()
-    trace.b_norms.append(float(np.linalg.norm(bn)))
-    for _ in range(max_iter):
-        if np.linalg.norm(bn) <= tol:
-            trace.termination = "converged"
-            break
-        alpha, xi = solve_j(an, bn)
-        gens.append(xi)
-        trace.xi_norms.append(float(np.linalg.norm(xi)))
         trace.alpha_norms.append(float(np.linalg.norm(alpha)))
         an1 = an + alpha
         bn = action.apply(-xi, an + bn) - an1
         an = an1
-        trace.b_norms.append(float(np.linalg.norm(bn)))
-    else:
-        if trace.b_norms[-1] >= trace.b_norms[0]:
-            raise NoConvergence(f"no error reduction after {max_iter} steps")
-        trace.termination = "max_iter"
-    trace.measure_quad_constant()
-    trace.order = _fit_order_or_none(trace)
+        return xi, bn
+
+    gens, trace = _iterate(a, b, step, max_iter, tol, basin_radius)
     return gens, an - a, trace
 
 

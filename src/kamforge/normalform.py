@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .errors import DegenerateAlpha, ResonantDenominator, TruncationExceeded
+from .errors import DegenerateAlpha, InvalidInput, ResonantDenominator, TruncationExceeded
 from .scalar import CertifiedDecimal, certified_root, exact_sign
 from .series import Generator, PoissonSeries, drop_count, flow_apply, poisson_bracket
 
@@ -50,13 +50,12 @@ class IntegrableHamiltonian:
     @classmethod
     def from_series(cls, series: PoissonSeries) -> "IntegrableHamiltonian":
         n = series.trunc.n
-        ctx = series.context
         zero_I = (0,) * n
         for (I, J, k), _ in series.items():
             if I != zero_I or k != 0:
-                raise ValueError("integrable Hamiltonian must lie in K[[p]]")
+                raise InvalidInput("integrable Hamiltonian must lie in K[[p]]")
             if sum(J) == 0:
-                raise ValueError("integrable Hamiltonian must have no constant term")
+                raise InvalidInput("integrable Hamiltonian must have no constant term")
         omega = tuple(
             series.coefficient(zero_I, tuple(1 if j == i else 0 for j in range(n)))
             for i in range(n)
@@ -71,8 +70,7 @@ class IntegrableHamiltonian:
                 J[j] += 1
                 c = series.coefficient(zero_I, tuple(J))
                 row.append(c if i == j else c * half)
-            row = tuple(ctx.coerce(x) for x in row)
-            alpha.append(row)
+            alpha.append(tuple(row))
         return cls(series=series, omega=omega, alpha=tuple(alpha))
 
     @property
@@ -389,7 +387,6 @@ def normal_space_class(H, f: PoissonSeries) -> NormalSpaceClass:
         return _hyperbolic_class(H, f)
     H.series._check(f)
     n = f.trunc.n
-    ctx = f.context
     zero_I = (0,) * n
     for (_, _, k), _c in f.items():
         if k != 0:
@@ -399,6 +396,6 @@ def normal_space_class(H, f: PoissonSeries) -> NormalSpaceClass:
     spill = residual  # I != 0 terms of p-degree >= 2 created by the solve
     ideal = f.select(lambda I, J, k: sum(J) >= 2) - spill
     unit_J = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    nu = tuple(ctx.coerce(f.coefficient(zero_I, unit_J[i])) for i in range(n))
+    nu = tuple(f.coefficient(zero_I, unit_J[i]) for i in range(n))
     const = f.coefficient(zero_I)
     return NormalSpaceClass(nu=nu, g=g, ideal_part=ideal, constant=const, basis="p")

@@ -2,22 +2,25 @@
 
 Three scalar contexts are supported:
 
-* ``rational``   -- arbitrary-precision rationals (``fractions.Fraction``),
+* ``rational``   -- the rational numbers Q,
 * ``quadratic``  -- the real quadratic field Q(sqrt(d)) for a square-free
-  integer d >= 2, represented by :class:`QuadScalar`,
+  integer d >= 2,
 * ``float64``    -- plain machine floats for the numeric modules.
 
-All comparisons in the exact contexts are decided by integer arithmetic
-(never by floating approximation), and every exact value can be turned
-into a :class:`CertifiedDecimal`, a float together with a rigorous error
-bound.
+Both exact contexts share one value type, :class:`QuadScalar`: an integer
+triple (a, b, den) standing for (a + b*sqrt(d)) / den, in lowest terms, so
+that a rational is the case b = 0.  All comparisons are decided by integer
+arithmetic (never by floating approximation), and every exact value can be
+turned into a :class:`CertifiedDecimal`, a float together with a rigorous
+error bound.  ``fractions.Fraction`` is kept only for exact values that
+belong to no context (exponents, Liouville sums, Monte-Carlo rechecks).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isfinite, isqrt, lcm, sqrt
 
 from .errors import ContextMismatch, DivisionByZero, InvalidInput, RationalInput
 
@@ -26,16 +29,11 @@ __all__ = [
     "QuadScalar",
     "CertifiedDecimal",
     "exact_sign",
-    "exact_floor",
     "continued_fraction",
     "convergents",
     "parse_literal",
     "format_literal",
 ]
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
 
 
 def is_square_free(d: int) -> bool:
@@ -49,95 +47,111 @@ def is_square_free(d: int) -> bool:
     return True
 
 
-class QuadScalar:
-    """An element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
+def _ratlit(num: int, den: int) -> str:
+    """The literal "num/den" in lowest terms, or "num" for an integer."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
-    ``a`` and ``b`` are exact rationals and ``d`` is a fixed square-free
-    integer >= 2 shared by every scalar of one context.  Values are
-    immutable; arithmetic with ints and Fractions coerces them into the
-    same field.
+
+class QuadScalar:
+    """An element (a + b*sqrt(d)) / den of Q(sqrt(d)), or of Q when b = 0.
+
+    ``a``, ``b`` and ``den`` are integers with den > 0 and
+    gcd(a, b, den) = 1, so equal values have equal triples.  ``d`` is the
+    radicand of the value's context: a square-free integer >= 2, or 0 in
+    the rational context.  A value with b = 0 combines with, equals and
+    hashes like the same rational of any radicand, int or Fraction; two
+    irrational values of different radicands do not mix.  Values are
+    immutable.  The constructor takes rational ``a`` and ``b`` and checks
+    ``d``; arithmetic results skip that check.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("a", "b", "den", "d")
 
     def __init__(self, a, b, d: int):
         if d < 2 or not is_square_free(d):
             raise ValueError(f"radicand must be square-free and >= 2, got {d}")
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        a, b = Fraction(a), Fraction(b)
+        den = lcm(a.denominator, b.denominator)
+        object.__setattr__(self, "a", a.numerator * (den // a.denominator))
+        object.__setattr__(self, "b", b.numerator * (den // b.denominator))
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "d", d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadScalar is immutable")
 
     # -- coercion -----------------------------------------------------
-    def _wrap(self, other):
+    def _operand(self, other):
+        """``other`` as a QuadScalar, or None for a foreign type."""
         if isinstance(other, QuadScalar):
-            if other.d != self.d:
-                raise ContextMismatch(
-                    f"mixed radicands sqrt({self.d}) and sqrt({other.d})"
-                )
+            if other.d != self.d and other.b and self.b:
+                raise ContextMismatch(f"mixed radicands sqrt({self.d}) and sqrt({other.d})")
             return other
-        if isinstance(other, (int, Fraction)):
-            return QuadScalar(other, 0, self.d)
+        if isinstance(other, int):
+            return _make(other, 0, 1, self.d)
+        if isinstance(other, Fraction):
+            return _make(other.numerator, 0, other.denominator, self.d)
         return None
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def conjugate(self) -> "QuadScalar":
-        return QuadScalar(self.a, -self.b, self.d)
+        return _make(self.a, -self.b, self.den, self.d)
 
     # -- ring/field operations ---------------------------------------
+    # A result takes the radicand of its irrational operand, if any.
     def __add__(self, other):
-        o = self._wrap(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return QuadScalar(self.a + o.a, self.b + o.b, self.d)
+        n1, n2 = self.den, o.den
+        d = o.d if o.b else self.d
+        return _make(self.a * n2 + o.a * n1, self.b * n2 + o.b * n1, n1 * n2, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadScalar(-self.a, -self.b, self.d)
+        return _make(-self.a, -self.b, self.den, self.d)
 
     def __sub__(self, other):
-        o = self._wrap(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return QuadScalar(self.a - o.a, self.b - o.b, self.d)
+        n1, n2 = self.den, o.den
+        d = o.d if o.b else self.d
+        return _make(self.a * n2 - o.a * n1, self.b * n2 - o.b * n1, n1 * n2, d)
 
     def __rsub__(self, other):
-        o = self._wrap(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __mul__(self, other):
-        o = self._wrap(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return QuadScalar(
-            self.a * o.a + self.b * o.b * self.d,
-            self.a * o.b + self.b * o.a,
-            self.d,
-        )
+        a1, b1, a2, b2 = self.a, self.b, o.a, o.b
+        d = o.d if b2 else self.d
+        return _make(a1 * a2 + d * b1 * b2, a1 * b2 + a2 * b1, self.den * o.den, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._wrap(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        norm = o.a * o.a - o.b * o.b * o.d
+        a1, b1, a2, b2 = self.a, self.b, o.a, o.b
+        d = o.d if b2 else self.d
+        # x / y = x * conj(y) * den_y / norm(y); d square-free: norm = 0 forces y = 0
+        norm = a2 * a2 - d * b2 * b2
         if norm == 0:
-            # d square-free: a^2 = d b^2 forces a = b = 0
             raise DivisionByZero("division by zero in Q(sqrt(d))")
-        num = self * o.conjugate()
-        return QuadScalar(num.a / norm, num.b / norm, self.d)
+        n2 = o.den if norm > 0 else -o.den
+        return _make((a1 * a2 - d * b1 * b2) * n2, (b1 * a2 - a1 * b2) * n2, self.den * abs(norm), d)
 
     def __rtruediv__(self, other):
-        o = self._wrap(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return o / self
@@ -146,8 +160,8 @@ class QuadScalar:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return (QuadScalar(1, 0, self.d) / self) ** (-n)
-        out = QuadScalar(1, 0, self.d)
+            return (1 / self) ** (-n)
+        out = _make(1, 0, 1, self.d)
         base = self
         while n:
             if n & 1:
@@ -159,35 +173,43 @@ class QuadScalar:
     # -- comparisons ---------------------------------------------------
     def __eq__(self, other):
         if isinstance(other, QuadScalar):
-            return self.d == other.d and self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return (
+                self.a == other.a
+                and self.b == other.b
+                and self.den == other.den
+                and (not self.b or self.d == other.d)
+            )
+        if isinstance(other, int):
+            return not self.b and self.den == 1 and self.a == other
+        if isinstance(other, Fraction):
+            return not self.b and self.a == other.numerator and self.den == other.denominator
+        if isinstance(other, float):  # exact, as Fraction compares with float
+            return not self.b and Fraction(self.a, self.den) == other
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        if self.b:
+            return hash((self.a, self.b, self.den, self.d))
+        return hash(Fraction(self.a, self.den))
 
     def __bool__(self):
-        return bool(self.a) or bool(self.b)
+        return self.a != 0 or self.b != 0
 
     def exact_sign(self) -> int:
-        """Sign of the real number a + b*sqrt(d), decided exactly."""
-        sa, sb = _sign(self.a), _sign(self.b)
-        if sb == 0:
+        """Sign of the real number (a + b*sqrt(d)) / den, decided exactly."""
+        a, b = self.a, self.b
+        sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+        if sa == sb or not sb:
             return sa
-        if sa == 0 or sa == sb:
-            return sb if sa == 0 else sa
-        # opposite signs: |a| vs |b| sqrt(d)  <=>  a^2 vs d b^2
-        lhs = self.a * self.a
-        rhs = self.b * self.b * self.d
-        if lhs == rhs:  # impossible for b != 0, kept for safety
-            return 0
-        return sa if lhs > rhs else sb
+        if not sa:
+            return sb
+        # opposite signs: |a| vs |b| sqrt(d)  <=>  a^2 vs d b^2, never equal for b != 0
+        return sa if a * a > self.d * b * b else sb
 
     def _cmp(self, other) -> int:
-        o = self._wrap(other)
+        if isinstance(other, float) and isfinite(other):
+            other = Fraction(other)  # the float's exact value
+        o = self._operand(other)
         if o is None:
             raise TypeError(f"cannot compare QuadScalar with {type(other)!r}")
         return (self - o).exact_sign()
@@ -205,40 +227,39 @@ class QuadScalar:
         return self._cmp(other) >= 0
 
     def floor(self) -> int:
-        """Exact floor, via integer square roots and sign checks."""
-        if self.b == 0:
-            return self.a.numerator // self.a.denominator
-        # write x = (P + Q sqrt(d)) / R with R > 0
-        qa, qb = self.a, self.b
-        R = qa.denominator * qb.denominator
-        P = qa.numerator * qb.denominator
-        Q = qb.numerator * qa.denominator
-        t = Q * Q * self.d
-        if Q > 0:
-            fq = isqrt(t)
-        else:
-            fq = -isqrt(t) - 1  # Q sqrt(d) is irrational here
-        m = (P + fq) // R
-        while (self - (m + 1)).exact_sign() >= 0:
-            m += 1
-        while (self - m).exact_sign() < 0:
-            m -= 1
-        return m
+        """Exact floor, via one integer square root.
+
+        With f = floor(b sqrt(d)), the numerator lies in [a + f, a + f + 1),
+        so the floor is (a + f) // den; b sqrt(d) is irrational for b != 0.
+        """
+        r = isqrt(self.b * self.b * self.d)
+        return (self.a + (r if self.b >= 0 else -r - 1)) // self.den
 
     def __float__(self):
-        from math import sqrt
-
-        return float(self.a) + float(self.b) * sqrt(self.d)
+        return self.a / self.den + self.b / self.den * sqrt(self.d)
 
     def __repr__(self):
-        return f"QuadScalar({self.a!r}, {self.b!r}, d={self.d})"
+        return f"QuadScalar({_ratlit(self.a, self.den)!r}, {_ratlit(self.b, self.den)!r}, d={self.d})"
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*sqrt({self.d})"
-        return f"{self.a} + {self.b}*sqrt({self.d})"
+        a, b = _ratlit(self.a, self.den), _ratlit(self.b, self.den)
+        if not self.b:
+            return a
+        if not self.a:
+            return f"{b}*sqrt({self.d})"
+        return f"{a} + {b}*sqrt({self.d})"
+
+
+def _make(a: int, b: int, den: int, d: int) -> QuadScalar:
+    """(a + b sqrt(d)) / den in lowest terms, for den > 0 and a trusted d."""
+    g = gcd(a, b, den)
+    a, b, den = a // g, b // g, den // g
+    x = object.__new__(QuadScalar)
+    object.__setattr__(x, "a", a)
+    object.__setattr__(x, "b", b)
+    object.__setattr__(x, "den", den)
+    object.__setattr__(x, "d", d)
+    return x
 
 
 _MODES = ("rational", "quadratic", "float64")
@@ -248,9 +269,10 @@ _MODES = ("rational", "quadratic", "float64")
 class ScalarContext:
     """The shared coefficient field of one computation.
 
-    Mixing values of distinct contexts raises :class:`ContextMismatch`;
-    a context coerces ints, Fractions and literals into its own value
-    type (``Fraction``, :class:`QuadScalar` or ``float``).
+    Mixing irrational values of distinct fields raises
+    :class:`ContextMismatch`; a context coerces ints, Fractions and
+    literals into its own value type (:class:`QuadScalar`, or ``float``
+    in ``float64`` mode).
     """
 
     mode: str
@@ -275,35 +297,28 @@ class ScalarContext:
 
     def coerce(self, value):
         """Bring ``value`` into this context's scalar type."""
-        if self.mode == "rational":
-            if isinstance(value, QuadScalar):
-                if not value.is_rational:
-                    raise ContextMismatch("irrational value in rational context")
-                return value.a
-            if isinstance(value, float) and not value.is_integer():
-                raise ContextMismatch("float value in rational context")
-            return Fraction(value)
-        if self.mode == "quadratic":
-            if isinstance(value, QuadScalar):
-                if value.d != self.d:
-                    raise ContextMismatch(
-                        f"value from Q(sqrt({value.d})) in Q(sqrt({self.d}))"
-                    )
-                return value
-            return QuadScalar(Fraction(value), 0, self.d)
-        # float64
-        if isinstance(value, QuadScalar):
+        if self.mode == "float64":
             return float(value)
-        return float(value)
+        d = self.d or 0
+        if isinstance(value, QuadScalar):
+            if value.d == d:
+                return value
+            if value.b:
+                field = f"Q(sqrt({d}))" if d else "Q"
+                raise ContextMismatch(f"value from Q(sqrt({value.d})) in {field}")
+            return _make(value.a, 0, value.den, d)
+        if isinstance(value, int):
+            return _make(value, 0, 1, d)
+        if isinstance(value, float) and not value.is_integer():
+            raise ContextMismatch(f"float value in {self.mode} context")
+        f = Fraction(value)
+        return _make(f.numerator, 0, f.denominator, d)
 
     def sqrt_d(self):
         """The generator sqrt(d) of a quadratic context."""
         if self.mode != "quadratic":
             raise ContextMismatch("sqrt(d) only exists in a quadratic context")
-        return QuadScalar(0, 1, self.d)
-
-    def sign(self, value) -> int:
-        return exact_sign(value)
+        return _make(0, 1, 1, self.d)
 
     def to_json(self) -> dict:
         out = {"mode": self.mode}
@@ -325,20 +340,8 @@ def quadratic(d: int) -> ScalarContext:
 
 
 def exact_sign(x) -> int:
-    """Sign in {-1, 0, +1}; exact for rationals and quadratic scalars."""
-    if isinstance(x, QuadScalar):
-        return x.exact_sign()
-    return _sign(x)
-
-
-def exact_floor(x) -> int:
-    if isinstance(x, QuadScalar):
-        return x.floor()
-    if isinstance(x, Fraction):
-        return x.numerator // x.denominator
-    if isinstance(x, int):
-        return x
-    raise TypeError(f"no exact floor for {type(x)!r}")
+    """Sign in {-1, 0, +1}; exact for every exact value."""
+    return x.exact_sign() if isinstance(x, QuadScalar) else (x > 0) - (x < 0)
 
 
 def continued_fraction(x: QuadScalar, k: int) -> list[int]:
@@ -348,7 +351,7 @@ def continued_fraction(x: QuadScalar, k: int) -> list[int]:
     """
     if not isinstance(x, QuadScalar):
         raise TypeError("continued_fraction expects a QuadScalar")
-    if x.is_rational:
+    if not x.b:
         raise RationalInput("continued fractions are computed for irrationals only")
     if x.exact_sign() <= 0:
         raise ValueError("continued_fraction expects a positive argument")
@@ -357,7 +360,7 @@ def continued_fraction(x: QuadScalar, k: int) -> list[int]:
     for _ in range(k):
         a = cur.floor()
         out.append(a)
-        cur = QuadScalar(1, 0, x.d) / (cur - a)  # fractional part never vanishes
+        cur = 1 / (cur - a)  # fractional part never vanishes
     return out
 
 
@@ -377,20 +380,14 @@ def convergents(quotients: list[int]) -> list[tuple[int, int]]:
 
 def rational_bounds(x, digits: int = 30) -> tuple[Fraction, Fraction]:
     """An exact rational interval [lo, hi] containing x."""
-    if isinstance(x, (int, Fraction)):
+    if not isinstance(x, QuadScalar):
         f = Fraction(x)
         return f, f
-    if isinstance(x, float):
-        f = Fraction(x)
-        return f, f
-    if isinstance(x, QuadScalar):
-        scale = 10**digits
-        r = isqrt(x.d * scale * scale)
-        lo_rt, hi_rt = Fraction(r, scale), Fraction(r + 1, scale)
-        if x.b >= 0:
-            return x.a + x.b * lo_rt, x.a + x.b * hi_rt
-        return x.a + x.b * hi_rt, x.a + x.b * lo_rt
-    raise TypeError(f"no rational bounds for {type(x)!r}")
+    scale = 10**digits
+    r = isqrt(x.d * scale * scale)  # r <= sqrt(d) * scale < r + 1
+    lo = Fraction(x.a * scale + x.b * r, x.den * scale)
+    hi = Fraction(x.a * scale + x.b * (r + 1), x.den * scale)
+    return (lo, hi) if x.b >= 0 else (hi, lo)
 
 
 @dataclass(frozen=True)
@@ -440,13 +437,11 @@ def certified_root(power_value, power: int) -> CertifiedDecimal:
 
 
 def format_literal(ctx: ScalarContext, x):
-    if ctx.mode == "rational":
-        f = ctx.coerce(x)
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-    if ctx.mode == "quadratic":
-        q = ctx.coerce(x)
-        return [format_literal(RATIONAL, q.a), format_literal(RATIONAL, q.b), q.d]
-    return float(x)
+    if ctx.mode == "float64":
+        return float(x)
+    q = ctx.coerce(x)
+    a = _ratlit(q.a, q.den)
+    return a if ctx.mode == "rational" else [a, _ratlit(q.b, q.den), q.d]
 
 
 def parse_literal(ctx: ScalarContext, obj):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import ContextMismatch, GeneratorOrderViolation
+from .errors import ContextMismatch, GeneratorOrderViolation, InvalidInput
 from .scalar import ScalarContext, format_literal, parse_literal
 
 __all__ = [
@@ -104,11 +104,11 @@ class PoissonSeries:
                 I, J, k = key
                 I, J = tuple(I), tuple(J)
                 if len(I) != trunc.n or len(J) != trunc.n:
-                    raise ValueError(f"key {key!r} has wrong dimension (n={trunc.n})")
+                    raise InvalidInput(f"key {key!r} has wrong dimension (n={trunc.n})")
                 if any(j < 0 for j in J) or k < 0:
-                    raise ValueError(f"key {key!r} has negative p- or t-exponents")
+                    raise InvalidInput(f"key {key!r} has negative p- or t-exponents")
                 if not trunc.admits(I, J, k):
-                    raise ValueError(f"key {key!r} violates the truncation window")
+                    raise InvalidInput(f"key {key!r} violates the truncation window")
                 c = context.coerce(coeff)
                 if c:
                     prev = clean.get((I, J, k))

@@ -128,22 +128,80 @@ def test_main_selftest_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _resonances(context, omega):
+    return {"kind": "resonances", "context": context, "omega": omega, "N": 2}
+
+
+def _formal(n, H, Q):
+    return {
+        "kind": "formal-nf",
+        "context": {"mode": "rational"},
+        "trunc": {"n": n, "Dp": 2, "Dt": 2, "Nq": 2},
+        "H": H,
+        "Q": Q,
+    }
+
+
+H1 = [[[0], [1], 0, "1"]]
+HADAMARD = {"kind": "hadamard", "context": {"mode": "rational"}, "omega": ["1", "1393/985"], "N": 3}
+MEASURE = {"kind": "measure", "n": 2, "R": 1.0, "N": 3, "samples": 10, "seed": 1}
+
+# scenarios that must end in an error report, not a traceback; a str is the file's text
 BAD_INPUT = {
-    "quadratic-without-d": ({"mode": "quadratic"}, ["1", "2"]),
-    "quadratic-d-not-square-free": ({"mode": "quadratic", "d": 4}, ["1", "2"]),
-    "fraction-in-float64": ({"mode": "float64"}, ["1/3", "1"]),
-    "non-numeric-literal": ({"mode": "rational"}, ["abc", "1"]),
-    "zero-denominator": ({"mode": "rational"}, ["1/0", "1"]),
+    "quadratic-without-d": _resonances({"mode": "quadratic"}, ["1", "2"]),
+    "quadratic-d-not-square-free": _resonances({"mode": "quadratic", "d": 4}, ["1", "2"]),
+    "fraction-in-float64": _resonances({"mode": "float64"}, ["1/3", "1"]),
+    "non-numeric-literal": _resonances({"mode": "rational"}, ["abc", "1"]),
+    "zero-denominator": _resonances({"mode": "rational"}, ["1/0", "1"]),
+    "trunc-n-zero": _formal(0, H1, []),
+    "term-of-wrong-dimension": _formal(1, H1, [[[0, 1], [1], 0, "1"]]),
+    "hamiltonian-with-constant-term": _formal(1, H1 + [[[0], [0], 0, "2"]], []),
+    "lie-parametric-not-square": {
+        "kind": "lie-parametric",
+        "a": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]],
+        "b": [[0.01, 0.0, 0.0], [0.0, 0.01, 0.0]],
+    },
+    "nu-not-a-number": {
+        "kind": "diophantine",
+        "context": {"mode": "rational"},
+        "omega": ["1", "1393/985"],
+        "nu": "abc",
+        "N": 5,
+    },
+    "lie-homogeneous-zero-a": {"kind": "lie-homogeneous", "a": [0, 0], "b": [0.01, 0]},
+    "term-with-scalar-exponent": _formal(1, [[0, [1], 0, "1"]], []),
+    "overflowing-float": json.dumps(HADAMARD)[:-1] + ', "decay_rate": 1e999}',
+    "nan-in-unknown-kind": '{"kind": "no-such-kind", "x": NaN}',
+    # exp overflows, so the decay fit is NaN; C / |I|^s overflows to infinity
+    "hadamard-nan-fit": {**HADAMARD, "decay_rate": -1000},
+    "measure-infinite-threshold": {**MEASURE, "C_values": [1e308], "nu": "-5"},
 }
+# the other cases end in InvalidInput with exit 1
+EXPECTED = {
+    "trunc-n-zero": (2, "SchemaError"),  # n >= 1 is part of the schema
+    "term-with-scalar-exponent": (2, "SchemaError"),  # so are the types of I, J and k
+    "overflowing-float": (2, "SchemaError"),  # a scenario holds finite numbers only
+    "nan-in-unknown-kind": (2, "SchemaError"),
+    "hadamard-nan-fit": (1, "NonFiniteResult"),
+    "measure-infinite-threshold": (1, "NonFiniteResult"),
+}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in a report")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
 def test_invalid_scalar_input_is_report_not_crash(tmp_path, case):
-    context, omega = BAD_INPUT[case]
-    scen = {"kind": "resonances", "context": context, "omega": omega, "N": 2}
-    out = tmp_path / "r.json"
-    assert main(["run", write(tmp_path, "s.json", scen), "--out", str(out)]) == 1
-    assert json.loads(out.read_text())["error"]["type"] == "InvalidInput"
+    scen, out = tmp_path / "s.json", tmp_path / "r.json"
+    text = BAD_INPUT[case]
+    scen.write_text(text if isinstance(text, str) else json.dumps(text))
+    rc = main(["run", str(scen), "--out", str(out)])
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert (rc, report["error"]["type"]) == EXPECTED.get(case, (1, "InvalidInput"))
+    assert "results" not in report
+    if isinstance(text, str):  # a non-finite number cannot be echoed
+        assert report["scenario"] is None
 
 
 def test_failing_selftest_exits_nonzero_on_run(tmp_path, monkeypatch):

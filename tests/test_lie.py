@@ -5,6 +5,7 @@ import scipy.linalg
 from kamforge.errors import (
     BasinExceeded,
     InsufficientSteps,
+    NoConvergence,
     OrthogonalityCheckFailed,
     RankDeficient,
 )
@@ -12,6 +13,7 @@ from kamforge.lie import (
     IterationTrace,
     SubspaceBasis,
     adjoint_action,
+    GroupAction,
     commutant_basis,
     convergence_order,
     lie_iterate_homogeneous,
@@ -143,6 +145,24 @@ def test_homogeneous_right_inverse_check():
     bad_j = lambda v: np.zeros((2, 2))
     with pytest.raises(ValueError):
         lie_iterate_homogeneous(act, a, np.array([0.01, 0.0]), bad_j)
+
+
+def test_homogeneous_right_inverse_check_rejects_nan():
+    a = np.zeros(2)
+    nan_j = lambda v: np.outer(v, a) / float(a @ a)  # 0/0
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        lie_iterate_homogeneous(vector_action(), a, np.array([0.01, 0.0]), nan_j)
+
+
+def test_non_finite_error_is_no_convergence():
+    a = np.array([1.0])
+    broken = GroupAction(
+        apply=lambda xi, x: np.full_like(x, np.nan),
+        infinitesimal=vector_action().infinitesimal,
+        name="broken",
+    )
+    with pytest.raises(NoConvergence):
+        lie_iterate_homogeneous(broken, a, np.array([0.1]), _projection_j(a))
 
 
 def test_homogeneous_basin():

@@ -12,7 +12,7 @@ from kamforge import (
     flow_apply,
     poisson_bracket,
 )
-from kamforge.errors import ContextMismatch, GeneratorOrderViolation
+from kamforge.errors import ContextMismatch, GeneratorOrderViolation, InvalidInput
 from kamforge.scalar import RATIONAL, quadratic
 
 from conftest import random_series
@@ -218,9 +218,13 @@ def test_json_round_trip(rng):
 
 
 def test_series_constructor_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         PoissonSeries(RATIONAL, TR1, "torus", {((5,), (0,), 0): 1})  # outside Nq
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         PoissonSeries(RATIONAL, TR1, "torus", {((0,), (0,), 9): 1})  # outside Dt
+    with pytest.raises(InvalidInput):
+        PoissonSeries(RATIONAL, TR1, "torus", {((0, 0), (0,), 0): 1})  # wrong dimension
+    with pytest.raises(InvalidInput):
+        PoissonSeries(RATIONAL, TR1, "torus", {((0,), (-1,), 0): 1})  # negative p-power
     with pytest.raises(ValueError):
         PoissonSeries(RATIONAL, TR1, "nonsense", {})
