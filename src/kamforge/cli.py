@@ -145,6 +145,18 @@ def _scalars(ctx, lst):
     return tuple(parse_literal(ctx, x) for x in lst)
 
 
+def _floats(value, name):
+    """A JSON number as a float, or a list of them as a float64 array.
+
+    JSON integers are unbounded, so one beyond the float range is
+    InvalidInput here rather than an OverflowError in the handler.
+    """
+    try:
+        return np.asarray(value, dtype=float) if isinstance(value, list) else float(value)
+    except OverflowError:
+        raise InvalidInput(f"{name} holds a number too large for a float") from None
+
+
 def _nu(params) -> Fraction:
     """nu belongs to no scalar context, so it is handed on as a Fraction."""
     nu = parse_literal(RATIONAL, str(params["nu"]))
@@ -196,7 +208,7 @@ def _run_hadamard(params):
     ctx = ScalarContext.from_json(params["context"])
     omega = diophantine.FrequencyVector(_scalars(ctx, params["omega"]), ctx)
     h = diophantine.small_denominator_series(omega, params["N"])
-    rate = float(params["decay_rate"])
+    rate = _floats(params["decay_rate"], "decay_rate")
     f = diophantine.FourierTable(
         {
             I: float(np.exp(-rate * np.sqrt(sum(x * x for x in I))))
@@ -214,25 +226,27 @@ def _run_hadamard(params):
 
 def _run_measure(params):
     nu = _nu(params)
+    R = _floats(params["R"], "R")
     out = []
     for C in params["C_values"]:
+        C = _floats(C, "C_values")
         est = diophantine.measure_estimate(
             n=params["n"],
-            R=float(params["R"]),
-            C=float(C),
+            R=R,
+            C=C,
             nu=nu,
             N=params["N"],
             samples=params["samples"],
             seed=params["seed"],
             partitions=params.get("partitions", 1),
         )
-        out.append({"C": float(C), **est.to_json()})
+        out.append({"C": C, **est.to_json()})
     return {"per_C": out}, {}
 
 
 def _run_lie_homogeneous(params):
-    a = np.asarray(params["a"], dtype=float)
-    b = np.asarray(params["b"], dtype=float)
+    a = _floats(params["a"], "a")
+    b = _floats(params["b"], "b")
     if a.shape != b.shape or not a.any():
         raise InvalidInput("lie-homogeneous needs a nonzero vector a and a vector b of its length")
     action = lie.vector_action()
@@ -258,8 +272,8 @@ def _run_lie_homogeneous(params):
 def _run_lie_parametric(params):
     msg = "lie-parametric needs square matrices a and b of one size"
     try:
-        a = np.asarray(params["a"], dtype=float)
-        b = np.asarray(params["b"], dtype=float)
+        a = _floats(params["a"], "a")
+        b = _floats(params["b"], "b")
     except ValueError:  # ragged rows
         raise InvalidInput(msg) from None
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:

@@ -315,8 +315,10 @@ def kolmogorov_normal_form(H: IntegrableHamiltonian, Q: PoissonSeries) -> Normal
     """
     H.series._check(Q)
     two_alpha = tuple(tuple(x * 2 for x in row) for row in H.alpha)
-    if exact_sign(exact_det(two_alpha)) == 0:
-        raise DegenerateAlpha("quadratic part alpha is not invertible")
+    try:
+        solve_linear(two_alpha, (Q.context.zero,) * Q.trunc.n, Q.context)
+    except DegenerateAlpha:
+        raise DegenerateAlpha("quadratic part alpha is not invertible") from None
     res = _iterate(H, Q, p_cap=1, two_alpha=two_alpha)
     zero = (0,) * Q.trunc.n
     res.casimir = res.normal.select(lambda I, J, k: I == J == zero and k >= 1)

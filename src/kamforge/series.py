@@ -6,6 +6,12 @@ exact scalars.  A :class:`TruncationSpec` fixes the finite window within
 which every operation is exact: terms produced outside the window are
 silently dropped and accounted in a module-level drop counter.
 
+The bracket and the product group each operand's terms by (t-degree,
+p-degree) on every call.  A pair of groups whose results all fall past Dt
+or Dp is skipped without visiting its term pairs, and the terms it would
+have produced are added to the drop counter in closed form, so the count
+stays exact; only the q-bound is tested term by term.
+
 The bracket convention is fixed once and for all:
 
 * torus mode:       {p_j, q_k} = q_k delta_jk,
@@ -18,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
+from operator import add
 
 from .errors import ContextMismatch, GeneratorOrderViolation, InvalidInput
 from .scalar import ScalarContext, format_literal, parse_literal
@@ -219,24 +226,31 @@ class PoissonSeries:
             return self.scale(other)
         self._check(other)
         trunc = self.trunc
-        n = trunc.n
+        Dt, Dp, Nq = trunc.Dt, trunc.Dp, trunc.Nq
+        right = _grade(other)
+        dropped = 0
         acc = {}
-        for (I1, J1, k1), c1 in self._terms.items():
-            for (I2, J2, k2), c2 in other._terms.items():
+        for (k1, p1), A in _grade(self).items():
+            for (k2, p2), B in right.items():
                 k = k1 + k2
-                I = tuple(I1[j] + I2[j] for j in range(n))
-                J = tuple(J1[j] + J2[j] for j in range(n))
-                if not trunc.admits(I, J, k):
-                    _note_drop()
+                if k > Dt or p1 + p2 > Dp:
+                    dropped += len(A) * len(B)
                     continue
-                c = c1 * c2
-                key = (I, J, k)
-                s = acc.get(key)
-                s = c if s is None else s + c
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
+                for I1, J1, c1 in A:
+                    for I2, J2, c2 in B:
+                        I = tuple(map(add, I1, I2))
+                        if min(I) < -Nq or max(I) > Nq:
+                            dropped += 1
+                            continue
+                        c = c1 * c2
+                        key = (I, tuple(map(add, J1, J2)), k)
+                        s = acc.get(key)
+                        s = c if s is None else s + c
+                        if s:
+                            acc[key] = s
+                        else:
+                            acc.pop(key, None)
+        _note_drop(dropped)
         return self._like(acc)
 
     def __rmul__(self, other):
@@ -310,47 +324,105 @@ class PoissonSeries:
         return " + ".join(parts)
 
 
+def _grade(f: PoissonSeries) -> dict:
+    """The terms of f as (I, J, c) lists keyed by (t-degree, p-degree)."""
+    buckets = {}
+    for (I, J, k), c in f._terms.items():
+        buckets.setdefault((k, sum(J)), []).append((I, J, c))
+    return buckets
+
+
+def _census(bucket: list, n: int) -> list:
+    """Per coordinate j: the number of zero vectors (I_j, J_j) in the bucket
+    and the count of each primitive direction of the others, up to sign."""
+    out = []
+    for j in range(n):
+        zeros = 0
+        dirs = {}
+        for I, J, _ in bucket:
+            a, b = I[j], J[j]
+            if b:
+                g = gcd(a, b)
+                d = (a // g, b // g)  # J_j > 0 fixes the sign
+            elif a:
+                d = (1, 0)
+            else:
+                zeros += 1
+                continue
+            dirs[d] = dirs.get(d, 0) + 1
+        out.append((zeros, dirs))
+    return out
+
+
+def _bracket_drops(A: list, B: list, census_A: list, census_B: list) -> int:
+    """Terms the bracket of every pair in A x B would produce: one per pair
+    and coordinate j whose (I_j, J_j) vectors are not parallel."""
+    size = len(A) * len(B)
+    out = 0
+    for (zA, dA), (zB, dB) in zip(census_A, census_B):
+        parallel = zA * len(B) + zB * len(A) - zA * zB
+        parallel += sum(m * dB.get(d, 0) for d, m in dA.items())
+        out += size - parallel
+    return out
+
+
 def poisson_bracket(f: PoissonSeries, g: PoissonSeries) -> PoissonSeries:
     """The bracket {f, g}, exact within the truncation window.
 
     Torus mode computes sum_j (d_pj f * q_j d_qj g - q_j d_qj f * d_pj g);
     symplectic mode replaces q_j d_qj by d_qj.  t is central.
+
+    A pair of terms of t-degrees k1, k2 and p-degrees |J1|, |J2| yields
+    terms of t-degree k1 + k2 and p-degree |J1| + |J2| - 1, so the pairs
+    of (t, p)-buckets that land outside the window are never visited;
+    their drops are counted in closed form from each bucket's census.
     """
     f._check(g)
     trunc = f.trunc
-    n = trunc.n
+    n, Dt, Dp, Nq = trunc.n, trunc.Dt, trunc.Dp, trunc.Nq
     torus = f.mode == "torus"
+    right = _grade(g)
+    census = {}  # id(bucket) -> its census, computed on first need
+
+    def census_of(bucket):
+        if id(bucket) not in census:
+            census[id(bucket)] = _census(bucket, n)
+        return census[id(bucket)]
+
+    dropped = 0
     acc = {}
-    for (I1, J1, k1), c1 in f._terms.items():
-        for (I2, J2, k2), c2 in g._terms.items():
+    for (k1, p1), A in _grade(f).items():
+        for (k2, p2), B in right.items():
             k = k1 + k2
-            c12 = None
-            for j in range(n):
-                w = J1[j] * I2[j] - I1[j] * J2[j]
-                if not w:
-                    continue
-                J = list(J1)
-                for jj in range(n):
-                    J[jj] += J2[jj]
-                J[j] -= 1
-                I = list(I1)
-                for jj in range(n):
-                    I[jj] += I2[jj]
-                if not torus:
-                    I[j] -= 1
-                key = (tuple(I), tuple(J), k)
-                if not trunc.admits(*key):
-                    _note_drop()
-                    continue
-                if c12 is None:
-                    c12 = c1 * c2
-                c = c12 * w
-                s = acc.get(key)
-                s = c if s is None else s + c
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
+            if k > Dt or p1 + p2 - 1 > Dp:
+                dropped += _bracket_drops(A, B, census_of(A), census_of(B))
+                continue
+            for I1, J1, c1 in A:
+                for I2, J2, c2 in B:
+                    c12 = None
+                    for j in range(n):
+                        w = J1[j] * I2[j] - I1[j] * J2[j]
+                        if not w:
+                            continue
+                        I = list(map(add, I1, I2))
+                        if not torus:
+                            I[j] -= 1
+                        if min(I) < -Nq or max(I) > Nq:
+                            dropped += 1
+                            continue
+                        J = list(map(add, J1, J2))
+                        J[j] -= 1
+                        key = (tuple(I), tuple(J), k)
+                        if c12 is None:
+                            c12 = c1 * c2
+                        c = c12 * w
+                        s = acc.get(key)
+                        s = c if s is None else s + c
+                        if s:
+                            acc[key] = s
+                        else:
+                            acc.pop(key, None)
+    _note_drop(dropped)
     return f._like(acc)
 
 

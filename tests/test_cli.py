@@ -175,6 +175,16 @@ BAD_INPUT = {
     # exp overflows, so the decay fit is NaN; C / |I|^s overflows to infinity
     "hadamard-nan-fit": {**HADAMARD, "decay_rate": -1000},
     "measure-infinite-threshold": {**MEASURE, "C_values": [1e308], "nu": "-5"},
+    # JSON integers are unbounded; these do not fit in the floats the handlers use
+    "hadamard-huge-integer-rate": {**HADAMARD, "decay_rate": 10**400},
+    "measure-huge-integer-R": {**MEASURE, "R": 10**400, "C_values": [0.1], "nu": "1"},
+    "measure-huge-integer-C": {**MEASURE, "C_values": [0.1, 10**400], "nu": "1"},
+    "lie-homogeneous-huge-integer": {"kind": "lie-homogeneous", "a": [10**400, 1], "b": [0.01, 0]},
+    "lie-parametric-huge-integer": {
+        "kind": "lie-parametric",
+        "a": [[1.0, 0.0], [0.0, 2.0]],
+        "b": [[0.01, 0.0], [-(10**400), 0.01]],
+    },
 }
 # the other cases end in InvalidInput with exit 1
 EXPECTED = {

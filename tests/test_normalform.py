@@ -183,7 +183,7 @@ def test_kolmogorov_trivial_and_degenerate():
     res = kolmogorov_normal_form(H, PoissonSeries.zero(RATIONAL, TR1, "torus"))
     assert res.generators == [] and res.casimir.is_zero() and res.remainder.is_zero()
     Hdeg = integrable(RATIONAL, TR1, {((0,), (1,), 0): 3})
-    with pytest.raises(DegenerateAlpha):
+    with pytest.raises(DegenerateAlpha, match="quadratic part alpha is not invertible"):
         kolmogorov_normal_form(Hdeg, PoissonSeries.monomial(RATIONAL, TR1, "torus", 1, J=(1,)))
 
 

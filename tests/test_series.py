@@ -13,6 +13,7 @@ from kamforge import (
     poisson_bracket,
 )
 from kamforge.errors import ContextMismatch, GeneratorOrderViolation, InvalidInput
+from kamforge.series import drop_count
 from kamforge.scalar import RATIONAL, quadratic
 
 from conftest import random_series
@@ -161,6 +162,115 @@ def test_poisson_axioms(mode, rng):
         f, g, h = _budgeted_triple(rng, tr, mode, (1, 2, 2))
         leib = poisson_bracket(f, g * h) - (poisson_bracket(f, g) * h + g * poisson_bracket(f, h))
         assert leib.is_zero()
+
+
+
+# -- independent all-pairs reference for the bracket and the product ------
+#
+# Written from the definitions on dicts of Fractions: every pair of terms
+# is visited, and each term produced outside the window is one drop.
+
+def _outside(tr, I, J, k):
+    return k > tr.Dt or sum(J) > tr.Dp or any(abs(i) > tr.Nq for i in I)
+
+
+def _ref_bracket(f, g, mode, tr):
+    acc, drops = {}, 0
+    for (I1, J1, k1), c1 in f.items():
+        for (I2, J2, k2), c2 in g.items():
+            for j in range(tr.n):
+                # d_pj f * q_j d_qj g - q_j d_qj f * d_pj g on monomials
+                w = J1[j] * I2[j] - I1[j] * J2[j]
+                if w == 0:
+                    continue
+                I = [a + b for a, b in zip(I1, I2)]
+                if mode == "symplectic":
+                    I[j] -= 1  # d_qj instead of q_j d_qj
+                J = [a + b for a, b in zip(J1, J2)]
+                J[j] -= 1
+                if _outside(tr, I, J, k1 + k2):
+                    drops += 1
+                    continue
+                key = (tuple(I), tuple(J), k1 + k2)
+                acc[key] = acc.get(key, Fraction(0)) + c1 * c2 * w
+    return {key: c for key, c in acc.items() if c}, drops
+
+
+def _ref_product(f, g, tr):
+    acc, drops = {}, 0
+    for (I1, J1, k1), c1 in f.items():
+        for (I2, J2, k2), c2 in g.items():
+            I = [a + b for a, b in zip(I1, I2)]
+            J = [a + b for a, b in zip(J1, J2)]
+            if _outside(tr, I, J, k1 + k2):
+                drops += 1
+                continue
+            key = (tuple(I), tuple(J), k1 + k2)
+            acc[key] = acc.get(key, Fraction(0)) + c1 * c2
+    return {key: c for key, c in acc.items() if c}, drops
+
+
+# (I_j, J_j) per coordinate: zero, antiparallel (1,0)/(-2,0), parallel
+# (1,1)/(2,2) and (0,1)/(0,2), and directions that meet nothing
+_PAIRS = [(0, 0), (1, 0), (-2, 0), (1, 1), (2, 2), (-1, 1), (0, 1), (0, 2), (3, 1), (-1, 2)]
+
+
+def _pool_terms(rng, tr, size, k_choices, p_choices):
+    """Up to ``size`` terms inside the window with t-degree in k_choices and
+    p-degree in p_choices, each coordinate drawn from _PAIRS."""
+    terms = {}
+    for _ in range(size * 20):
+        if len(terms) == size:
+            break
+        pairs = [rng.choice(_PAIRS) for _ in range(tr.n)]
+        I = tuple(a for a, _ in pairs)
+        J = tuple(b for _, b in pairs)
+        if sum(J) in p_choices and max(map(abs, I)) <= tr.Nq:
+            terms[(I, J, rng.choice(k_choices))] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+    return terms
+
+
+def _check_against_reference(tr, mode, f_terms, g_terms):
+    """Equal series and an equal drop-count delta, for {f, g} and f * g."""
+    f = PoissonSeries(RATIONAL, tr, mode, f_terms)
+    g = PoissonSeries(RATIONAL, tr, mode, g_terms)
+    before = drop_count()
+    got = {key: Fraction(str(c)) for key, c in poisson_bracket(f, g).items()}
+    assert (got, drop_count() - before) == _ref_bracket(f_terms, g_terms, mode, tr)
+    before = drop_count()
+    got = {key: Fraction(str(c)) for key, c in (f * g).items()}
+    assert (got, drop_count() - before) == _ref_product(f_terms, g_terms, tr)
+
+
+@pytest.mark.parametrize("mode", ["torus", "symplectic"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bracket_and_product_match_all_pairs_reference(mode, n):
+    rng = random.Random(1000 * n + len(mode))
+    for _ in range(60):
+        tr = TruncationSpec(n=n, Dp=rng.randint(0, 4), Dt=rng.randint(0, 3), Nq=rng.randint(0, 3))
+        ks, ps = range(tr.Dt + 1), range(tr.Dp + 1)
+        f_terms = _pool_terms(rng, tr, rng.randint(0, 8), ks, ps)
+        _check_against_reference(tr, mode, f_terms, _pool_terms(rng, tr, rng.randint(0, 8), ks, ps))
+
+
+@pytest.mark.parametrize("mode", ["torus", "symplectic"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tight_windows_match_all_pairs_reference(mode, n):
+    rng = random.Random(7 * n + len(mode))
+    for _ in range(20):
+        for tr, ks, ps in (
+            # every pair lands past Dt: operands at t-degree Dt >= 1
+            (TruncationSpec(n=n, Dp=3, Dt=1, Nq=3), (1,), range(4)),
+            (TruncationSpec(n=n, Dp=3, Dt=2, Nq=3), (2,), range(4)),
+            # every bracket pair lands past Dp: p-degree 2 + 2 - 1 > 2
+            (TruncationSpec(n=n, Dp=2, Dt=1, Nq=3), range(2), (2,)),
+            # every product pair lands past Dp = 1, brackets stay inside
+            (TruncationSpec(n=n, Dp=1, Dt=1, Nq=3), range(2), (1,)),
+            # Dp = 0: no bracket term at all, products only in q and t
+            (TruncationSpec(n=n, Dp=0, Dt=1, Nq=2), range(2), (0,)),
+        ):
+            f_terms = _pool_terms(rng, tr, 8, ks, ps)
+            _check_against_reference(tr, mode, f_terms, _pool_terms(rng, tr, 8, ks, ps))
 
 
 def _random_budgeted_generator(rng, tr, kind):
