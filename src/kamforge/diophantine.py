@@ -134,7 +134,7 @@ def kolmogorov_constant(omega: FrequencyVector, nu, N: int) -> DiophantineEstima
         return False
 
     resonant = False
-    if n == 2 and s >= 0 and omega.context.mode in ("rational", "quadratic"):
+    if n == 2 and s >= 0:
         resonant = _scan_dim2(omega, N, p_, q_, consider, best)
     else:
         for I in product(range(-N, N + 1), repeat=n):

@@ -55,7 +55,6 @@ class SubspaceBasis:
     """A list of matrices (or vectors) spanning a linear subspace."""
 
     mats: tuple
-    orthonormal: bool = False
 
     def __post_init__(self):
         if self.mats:
@@ -85,7 +84,7 @@ def commutant_basis(A: np.ndarray) -> SubspaceBasis:
     null_rows = [Vh[i] for i in range(len(sv)) if sv[i] < _RANK_TOL * smax]
     null_rows += [Vh[i] for i in range(len(sv), n * n)]
     mats = tuple(_unvec(v, n) for v in null_rows)
-    return SubspaceBasis(mats=mats, orthonormal=True)
+    return SubspaceBasis(mats=mats)
 
 
 def transversal_from_commutant(A: np.ndarray, checks: int = 100, seed: int = 0) -> SubspaceBasis:
@@ -106,7 +105,7 @@ def transversal_from_commutant(A: np.ndarray, checks: int = 100, seed: int = 0) 
                 raise OrthogonalityCheckFailed(
                     f"orbit-orthogonality residual {resid:.3e}"
                 )
-    return SubspaceBasis(mats=tuple(B.T.copy() for B in base.mats), orthonormal=True)
+    return SubspaceBasis(mats=tuple(B.T.copy() for B in base.mats))
 
 
 def matrix_exp(X: np.ndarray) -> np.ndarray:

@@ -1,13 +1,12 @@
 """Exact coefficient arithmetic.
 
-Three scalar contexts are supported:
+Two scalar contexts are supported, and both are exact:
 
 * ``rational``   -- the rational numbers Q,
 * ``quadratic``  -- the real quadratic field Q(sqrt(d)) for a square-free
-  integer d >= 2,
-* ``float64``    -- plain machine floats for the numeric modules.
+  integer d >= 2.
 
-Both exact contexts share one value type, :class:`QuadScalar`: an integer
+Both share one value type, :class:`QuadScalar`: an integer
 triple (a, b, den) standing for (a + b*sqrt(d)) / den, in lowest terms, so
 that a rational is the case b = 0.  All comparisons are decided by integer
 arithmetic (never by floating approximation), and every exact value can be
@@ -262,7 +261,7 @@ def _make(a: int, b: int, den: int, d: int) -> QuadScalar:
     return x
 
 
-_MODES = ("rational", "quadratic", "float64")
+_MODES = ("rational", "quadratic")
 
 
 @dataclass(frozen=True)
@@ -271,8 +270,7 @@ class ScalarContext:
 
     Mixing irrational values of distinct fields raises
     :class:`ContextMismatch`; a context coerces ints, Fractions and
-    literals into its own value type (:class:`QuadScalar`, or ``float``
-    in ``float64`` mode).
+    literals into its one value type, :class:`QuadScalar`.
     """
 
     mode: str
@@ -297,8 +295,6 @@ class ScalarContext:
 
     def coerce(self, value):
         """Bring ``value`` into this context's scalar type."""
-        if self.mode == "float64":
-            return float(value)
         d = self.d or 0
         if isinstance(value, QuadScalar):
             if value.d == d:
@@ -332,7 +328,6 @@ class ScalarContext:
 
 
 RATIONAL = ScalarContext("rational")
-FLOAT64 = ScalarContext("float64")
 
 
 def quadratic(d: int) -> ScalarContext:
@@ -437,8 +432,6 @@ def certified_root(power_value, power: int) -> CertifiedDecimal:
 
 
 def format_literal(ctx: ScalarContext, x):
-    if ctx.mode == "float64":
-        return float(x)
     q = ctx.coerce(x)
     a = _ratlit(q.a, q.den)
     return a if ctx.mode == "rational" else [a, _ratlit(q.b, q.den), q.d]
@@ -447,8 +440,6 @@ def format_literal(ctx: ScalarContext, x):
 def parse_literal(ctx: ScalarContext, obj):
     """Read a literal into ``ctx``; a malformed literal raises InvalidInput."""
     try:
-        if ctx.mode == "float64":
-            return float(obj)
         if isinstance(obj, list):
             if len(obj) != 3:
                 raise ValueError("a quadratic literal is [a, b, d]")

@@ -1,31 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from kamforge import PoissonSeries
-
-
-def random_series(rng, ctx, trunc, mode, n_terms=4, max_absI=1, max_pdeg=2, max_t=1):
-    """Random sparse series with per-series degree budgets.
-
-    The budgets let callers keep all intermediate products of an identity
-    inside the truncation window, so the identity holds with exact zero
-    discrepancy.
-    """
-    n = trunc.n
-    terms = {}
-    for _ in range(n_terms):
-        I = tuple(rng.randint(-max_absI, max_absI) for _ in range(n))
-        total = rng.randint(0, max_pdeg)
-        J = [0] * n
-        for _ in range(total):
-            J[rng.randrange(n)] += 1
-        k = rng.randint(0, max_t)
-        c = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        key = (I, tuple(J), k)
-        terms[key] = terms.get(key, Fraction(0)) + c
-    return PoissonSeries(ctx, trunc, mode, terms)
+from kamforge.cli import random_series  # noqa: F401  (imported by the test modules)
 
 
 @pytest.fixture

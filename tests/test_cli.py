@@ -5,9 +5,11 @@ import subprocess
 import sys
 import threading
 
+import jsonschema
 import pytest
 
 import kamforge.cli as cli
+from kamforge import series
 from kamforge.cli import main, run_scenario, selftest, validate_scenario
 from kamforge.errors import SchemaError
 
@@ -64,6 +66,12 @@ def test_malformed_scenario(tmp_path):
         validate_scenario([1, 2, 3])
 
 
+@pytest.mark.parametrize("kind", sorted(cli.SCENARIO_SCHEMAS))
+def test_scenario_schemas_are_valid_schemas(kind):
+    schema = cli.SCENARIO_SCHEMAS[kind]
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
 # omega = (1, -2) is resonant at I = (2, 1); Kolmogorov mode needs alpha invertible
 RESONANT_H = {
     "formal-nf": [[[0, 0], [1, 0], 0, "1"], [[0, 0], [0, 1], 0, "-2"]],
@@ -114,8 +122,12 @@ def test_selftest_properties_and_determinism(tmp_path):
     assert selftest(7) == r
 
 
-def test_selftest_mutation_fixture():
-    r = selftest(3, bracket_sign=-1)
+def test_selftest_mutation_fixture(monkeypatch):
+    def flipped(f, g):
+        return series.poisson_bracket(g, f)
+
+    monkeypatch.setattr(cli, "poisson_bracket", flipped)
+    r = selftest(3)
     assert r["properties"]["jacobi"]["pass"]
     assert not r["properties"]["eigen_relation"]["pass"]
     assert "sign" in r["properties"]["eigen_relation"]["detail"]
@@ -145,12 +157,17 @@ def _formal(n, H, Q):
 H1 = [[[0], [1], 0, "1"]]
 HADAMARD = {"kind": "hadamard", "context": {"mode": "rational"}, "omega": ["1", "1393/985"], "N": 3}
 MEASURE = {"kind": "measure", "n": 2, "R": 1.0, "N": 3, "samples": 10, "seed": 1}
+F64 = {"mode": "float64"}
 
 # scenarios that must end in an error report, not a traceback; a str is the file's text
 BAD_INPUT = {
     "quadratic-without-d": _resonances({"mode": "quadratic"}, ["1", "2"]),
     "quadratic-d-not-square-free": _resonances({"mode": "quadratic", "d": 4}, ["1", "2"]),
-    "fraction-in-float64": _resonances({"mode": "float64"}, ["1/3", "1"]),
+    "fraction-in-float64": _resonances(F64, ["1/3", "1"]),
+    "float64-formal-nf": {**_formal(1, H1, []), "context": F64},
+    "float64-kolmogorov-nf": {**KNF, "context": F64},
+    "float64-diophantine": {"kind": "diophantine", "context": F64, "omega": ["1", "0.5"], "nu": "1", "N": 2},
+    "float64-hadamard": {**HADAMARD, "context": F64, "decay_rate": 1.0},
     "non-numeric-literal": _resonances({"mode": "rational"}, ["abc", "1"]),
     "zero-denominator": _resonances({"mode": "rational"}, ["1/0", "1"]),
     "trunc-n-zero": _formal(0, H1, []),
@@ -172,6 +189,7 @@ BAD_INPUT = {
     "term-with-scalar-exponent": _formal(1, [[0, [1], 0, "1"]], []),
     "overflowing-float": json.dumps(HADAMARD)[:-1] + ', "decay_rate": 1e999}',
     "nan-in-unknown-kind": '{"kind": "no-such-kind", "x": NaN}',
+    "kind-not-a-string": {"kind": [1]},
     # exp overflows, so the decay fit is NaN; C / |I|^s overflows to infinity
     "hadamard-nan-fit": {**HADAMARD, "decay_rate": -1000},
     "measure-infinite-threshold": {**MEASURE, "C_values": [1e308], "nu": "-5"},
@@ -185,13 +203,23 @@ BAD_INPUT = {
         "a": [[1.0, 0.0], [0.0, 2.0]],
         "b": [[0.01, 0.0], [-(10**400), 0.01]],
     },
+    # past the interpreter's digit limit for int(), so json.load cannot read it
+    "integer-of-5001-digits": json.dumps(HADAMARD)[:-1] + ', "decay_rate": 1' + "0" * 5000 + "}",
+    "measure-huge-integer-nu": {**MEASURE, "C_values": [0.1], "nu": "1" + "0" * 400},
 }
 # the other cases end in InvalidInput with exit 1
 EXPECTED = {
+    "fraction-in-float64": (2, "SchemaError"),  # every context is exact
+    "float64-formal-nf": (2, "SchemaError"),
+    "float64-kolmogorov-nf": (2, "SchemaError"),
+    "float64-diophantine": (2, "SchemaError"),
+    "float64-hadamard": (2, "SchemaError"),
+    "integer-of-5001-digits": (2, "SchemaError"),
     "trunc-n-zero": (2, "SchemaError"),  # n >= 1 is part of the schema
     "term-with-scalar-exponent": (2, "SchemaError"),  # so are the types of I, J and k
     "overflowing-float": (2, "SchemaError"),  # a scenario holds finite numbers only
     "nan-in-unknown-kind": (2, "SchemaError"),
+    "kind-not-a-string": (2, "SchemaError"),
     "hadamard-nan-fit": (1, "NonFiniteResult"),
     "measure-infinite-threshold": (1, "NonFiniteResult"),
 }

@@ -226,7 +226,7 @@ def test_parametric_trivial_and_reconstruction():
 def test_parametric_rank_deficient():
     # transversal too small: cannot span normal directions of a derogatory matrix
     a = np.zeros((2, 2))  # [xi, 0] = 0, orbit is {0}; need the full 4-dim transversal
-    tv = SubspaceBasis(mats=(np.eye(2) / np.sqrt(2.0),), orthonormal=True)
+    tv = SubspaceBasis(mats=(np.eye(2) / np.sqrt(2.0),))
     with pytest.raises(RankDeficient):
         lie_iterate_parametric(a, 0.01 * np.eye(2), tv, basin_radius=1.0)
 
