@@ -49,16 +49,20 @@ _TRUNC = {
 _NUM = {"type": ["number", "string"]}
 _VEC = {"type": "array", "items": {"type": "number"}}
 _INTS = {"type": "array", "items": {"type": "integer"}}
-# a term [I, J, k, literal]; the literal's form depends on the context
+# a scalar literal: "n/d" or an integer, or [a, b, d] in a quadratic context
+_LITERAL = {"type": ["string", "integer", "array"]}
+_OMEGA = {"type": "array", "items": _LITERAL, "minItems": 1}
+# a term [I, J, k, literal]
 _TERM = {
     "type": "array",
-    "prefixItems": [_INTS, _INTS, {"type": "integer"}],
+    "prefixItems": [_INTS, _INTS, {"type": "integer"}, _LITERAL],
     "minItems": 4,
     "maxItems": 4,
 }
 _TERMS = {"type": "array", "items": _TERM}
 _MAT = {"type": "array", "items": _VEC}
 _COUNT = {"type": "integer", "minimum": 1}
+_SEED = {"type": "integer", "minimum": 0}
 
 _NF = {"context": _CONTEXT, "trunc": _TRUNC, "H": _TERMS, "Q": _TERMS}
 _ITER = {"tol": {"type": "number"}, "max_iter": _COUNT}
@@ -78,11 +82,11 @@ SCENARIO_SCHEMAS = {
     "formal-nf": _schema("formal-nf", _NF),
     "kolmogorov-nf": _schema("kolmogorov-nf", _NF),
     "resonances": _schema(
-        "resonances", {"context": _CONTEXT, "omega": {"type": "array"}, "N": _COUNT}
+        "resonances", {"context": _CONTEXT, "omega": _OMEGA, "N": _COUNT}
     ),
     "diophantine": _schema(
         "diophantine",
-        {"context": _CONTEXT, "omega": {"type": "array"}, "nu": _NUM, "N": _COUNT},
+        {"context": _CONTEXT, "omega": _OMEGA, "nu": _NUM, "N": _COUNT},
     ),
     "liouville": _schema(
         "liouville",
@@ -96,7 +100,7 @@ SCENARIO_SCHEMAS = {
         "hadamard",
         {
             "context": _CONTEXT,
-            "omega": {"type": "array"},
+            "omega": _OMEGA,
             "N": _COUNT,
             "decay_rate": {"type": "number"},
         },
@@ -110,13 +114,13 @@ SCENARIO_SCHEMAS = {
             "nu": _NUM,
             "N": _COUNT,
             "samples": _COUNT,
-            "seed": {"type": "integer"},
+            "seed": _SEED,
         },
         {"partitions": _COUNT},
     ),
     "lie-homogeneous": _schema("lie-homogeneous", {"a": _VEC, "b": _VEC}, _ITER),
     "lie-parametric": _schema("lie-parametric", {"a": _MAT, "b": _MAT}, _ITER),
-    "selftest": _schema("selftest", {}, {"seed": {"type": "integer"}}),
+    "selftest": _schema("selftest", {}, {"seed": _SEED}),
 }
 
 # built once; validate_scenario picks the error to report as jsonschema.validate does
@@ -175,7 +179,7 @@ def _run_nf(params):
         res = normalform.formal_normal_form(H, Q)
     else:
         res = normalform.kolmogorov_normal_form(H, Q)
-    return res.to_json(), {"dropped_terms": res.dropped_terms}
+    return res.to_json(), {}
 
 
 def _run_resonances(params):

@@ -30,6 +30,7 @@ __all__ = [
     "LiouvilleWitness",
     "DecayFit",
     "MeasureEstimate",
+    "half_ball",
     "kolmogorov_constant",
     "liouville_witness",
     "small_denominator_series",
@@ -68,6 +69,14 @@ def _normalize(I):
         if x < 0:
             return tuple(-y for y in I)
     return tuple(I)
+
+
+def half_ball(n: int, N: int):
+    """The vectors 0 < |I|_sup <= N whose first nonzero entry is positive,
+    one of each pair +-I, in lexicographic order."""
+    for I in product(range(-N, N + 1), repeat=n):
+        if next((x for x in I if x != 0), 0) > 0:
+            yield I
 
 
 @dataclass(frozen=True)
@@ -137,13 +146,7 @@ def kolmogorov_constant(omega: FrequencyVector, nu, N: int) -> DiophantineEstima
     if n == 2 and s >= 0:
         resonant = _scan_dim2(omega, N, p_, q_, consider, best)
     else:
-        for I in product(range(-N, N + 1), repeat=n):
-            nz = next((x for x in I if x != 0), 0)
-            if nz <= 0:
-                continue
-            if consider(I):
-                resonant = True
-                break
+        resonant = any(consider(I) for I in half_ball(n, N))
     c_est = (
         CertifiedDecimal(0.0, 0.0)
         if resonant
@@ -359,15 +362,6 @@ class MeasureEstimate:
         }
 
 
-def _half_lattice(n: int, N: int) -> np.ndarray:
-    vecs = [
-        I
-        for I in product(range(-N, N + 1), repeat=n)
-        if next((x for x in I if x != 0), 0) > 0
-    ]
-    return np.array(vecs, dtype=float)
-
-
 def _exact_bad(sample, C, s: Fraction, lattice) -> bool:
     """Exact re-test of a borderline sample, on its rounded coordinates."""
     w = [Fraction(x) for x in sample]
@@ -403,7 +397,7 @@ def measure_estimate(
         raise ValueError("partitions must be >= 1")
     nu = Fraction(nu)
     s = n - 1 + nu
-    lattice = _half_lattice(n, N)
+    lattice = np.array(list(half_ball(n, N)), dtype=float)
     norms = np.sqrt((lattice**2).sum(axis=1))
     thresh = C / norms ** float(s)
 

@@ -21,10 +21,6 @@ class GeneratorOrderViolation(KamError):
     """A flow generator does not meet its minimum t-order requirement."""
 
 
-class TruncationExceeded(KamError):
-    """A required term of a normal-form generator falls outside the truncation window."""
-
-
 class ResonantDenominator(KamError):
     """A homological equation met a lattice vector I with (omega, I) = 0."""
 

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from functools import reduce
+from operator import add
 
-from .errors import DegenerateAlpha, InvalidInput, ResonantDenominator, TruncationExceeded
+from .diophantine import half_ball
+from .errors import DegenerateAlpha, InvalidInput, ResonantDenominator
 from .scalar import CertifiedDecimal, certified_root, exact_sign
 from .series import Generator, PoissonSeries, drop_count, flow_apply, poisson_bracket
 
@@ -87,22 +89,14 @@ class IntegrableHamiltonian:
 
 
 def resonances(omega, N: int) -> list[tuple]:
-    """All I with 0 < |I|_sup <= N and (omega, I) = 0, first nonzero entry > 0."""
+    """All I of ``half_ball(n, N)`` with (omega, I) = 0, in lexicographic order."""
     if N < 1:
         raise ValueError("lattice cutoff N must be >= 1")
-    n = len(omega)
-    found = []
-    for I in product(range(-N, N + 1), repeat=n):
-        nz = next((x for x in I if x != 0), 0)
-        if nz <= 0:  # skip zero and keep one representative per +-I pair
-            continue
-        dot = None
-        for w, i in zip(omega, I):
-            if i:
-                dot = w * i if dot is None else dot + w * i
-        if dot is not None and exact_sign(dot) == 0:
-            found.append(I)
-    return sorted(found)
+    return [
+        I
+        for I in half_ball(len(omega), N)
+        if exact_sign(reduce(add, (w * i for w, i in zip(omega, I) if i))) == 0
+    ]
 
 
 def _min_abs_update(best, value):
@@ -118,13 +112,17 @@ def homological_solve(H: IntegrableHamiltonian, R: PoissonSeries, p_cap: int):
 
     S is supported on I != 0 with p-degree <= p_cap; the residual is what
     cannot or need not be killed: the averaged part of R plus terms of
-    p-degree > p_cap.  The degree-m coefficient of S at q^I is obtained by
-    dividing by (omega, I) after subtracting the contributions that lower
-    degrees of S pick up through the nonlinear part of H.
+    p-degree > p_cap.  A running defect starts at R.  At p-degree m its
+    I != 0 terms, divided by -(omega, I), give the correction; it joins S,
+    and its bracket {H, correction} joins the defect.  H lies in K[[p]],
+    so that bracket has p-degree >= m, and its degree-m part, (omega, I)
+    times the correction, cancels the defect there: later corrections
+    never disturb a degree already solved.  The bracket is bilinear and
+    the window cut keeps or drops each key on its own, so the running
+    defect is {H, S} + R exactly, and each correction is bracketed once.
     """
     H.series._check(R)
-    trunc = R.trunc
-    zero_I = (0,) * trunc.n
+    zero_I = (0,) * R.trunc.n
     pairings = {}
 
     def pairing_of(I):
@@ -136,20 +134,18 @@ def homological_solve(H: IntegrableHamiltonian, R: PoissonSeries, p_cap: int):
             pairings[I] = val
         return val
 
-    S = R._like({})
+    S, defect = R._like({}), R
     for m in range(0, p_cap + 1):
-        defect = poisson_bracket(H.series, S) + R
-        corr = {}
-        for (I, J, k), c in defect.items():
-            if I == zero_I or sum(J) != m:
-                continue
-            if not trunc.admits(I, J, k):
-                raise TruncationExceeded(f"generator term {(I, J, k)} outside window")
-            corr[(I, J, k)] = -(c / pairing_of(I))
-        if corr:
-            S = S + R._like(corr)
-    residual = poisson_bracket(H.series, S) + R
-    return S, residual
+        terms = {
+            (I, J, k): -(c / pairing_of(I))
+            for (I, J, k), c in defect.items()
+            if I != zero_I and sum(J) == m
+        }
+        if terms:
+            corr = R._like(terms)
+            S = S + corr
+            defect = defect + poisson_bracket(H.series, corr)
+    return S, defect
 
 
 @dataclass

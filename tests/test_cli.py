@@ -156,6 +156,9 @@ def _formal(n, H, Q):
 
 H1 = [[[0], [1], 0, "1"]]
 HADAMARD = {"kind": "hadamard", "context": {"mode": "rational"}, "omega": ["1", "1393/985"], "N": 3}
+DIOPHANTINE = {
+    "kind": "diophantine", "context": {"mode": "rational"}, "omega": ["1", "1393/985"], "nu": "1", "N": 2
+}
 MEASURE = {"kind": "measure", "n": 2, "R": 1.0, "N": 3, "samples": 10, "seed": 1}
 F64 = {"mode": "float64"}
 
@@ -206,6 +209,15 @@ BAD_INPUT = {
     # past the interpreter's digit limit for int(), so json.load cannot read it
     "integer-of-5001-digits": json.dumps(HADAMARD)[:-1] + ', "decay_rate": 1' + "0" * 5000 + "}",
     "measure-huge-integer-nu": {**MEASURE, "C_values": [0.1], "nu": "1" + "0" * 400},
+    "measure-negative-seed": {**MEASURE, "C_values": [0.1], "nu": "1", "seed": -1},
+    "selftest-negative-seed": {"kind": "selftest", "seed": -5},
+    "resonances-empty-omega": _resonances({"mode": "rational"}, []),
+    "diophantine-empty-omega": {**DIOPHANTINE, "omega": []},
+    "hadamard-empty-omega": {**HADAMARD, "omega": [], "decay_rate": 1.0},
+    # JSON true is not the literal 1, and a float such as 0.5 is no literal
+    "boolean-in-omega": _resonances({"mode": "rational"}, [True, "1"]),
+    "boolean-literal-in-term": _formal(1, [[[0], [1], 0, True]], []),
+    "float-in-omega": _resonances({"mode": "rational"}, [0.5, "1"]),
 }
 # the other cases end in InvalidInput with exit 1
 EXPECTED = {
@@ -220,6 +232,14 @@ EXPECTED = {
     "overflowing-float": (2, "SchemaError"),  # a scenario holds finite numbers only
     "nan-in-unknown-kind": (2, "SchemaError"),
     "kind-not-a-string": (2, "SchemaError"),
+    "measure-negative-seed": (2, "SchemaError"),
+    "selftest-negative-seed": (2, "SchemaError"),
+    "resonances-empty-omega": (2, "SchemaError"),
+    "diophantine-empty-omega": (2, "SchemaError"),
+    "hadamard-empty-omega": (2, "SchemaError"),
+    "boolean-in-omega": (2, "SchemaError"),
+    "boolean-literal-in-term": (2, "SchemaError"),
+    "float-in-omega": (2, "SchemaError"),
     "hadamard-nan-fit": (1, "NonFiniteResult"),
     "measure-infinite-threshold": (1, "NonFiniteResult"),
 }

@@ -19,6 +19,7 @@ from kamforge import (
 from kamforge.errors import DegenerateAlpha, ResonantDenominator
 from kamforge.normalform import exact_det, solve_linear
 from kamforge.scalar import RATIONAL, quadratic
+from kamforge.series import drop_count
 
 from conftest import random_series
 
@@ -102,6 +103,40 @@ def test_homological_solve_nonlinear_coupling():
     S, residual = homological_solve(H, R, p_cap=3)
     assert residual.is_zero()
     assert (poisson_bracket(H.series, S) + R).is_zero()
+
+
+@pytest.mark.parametrize("ctx", [RATIONAL, CTX2], ids=["rational", "sqrt2"])
+def test_homological_solve_residual_is_one_bracket(rng, ctx):
+    # a cubic H carries p-degree m to m + 2, so corrections of p-degree
+    # Dp - 1 and Dp have bracket terms past Dp, which are dropped
+    tr = TruncationSpec(n=2, Dp=3, Dt=2, Nq=2)
+    w2 = CTX2.sqrt_d() if ctx is CTX2 else Fraction(1393, 985)
+    H = integrable(
+        ctx,
+        tr,
+        {
+            ((0, 0), (1, 0), 0): 1,
+            ((0, 0), (0, 1), 0): w2,
+            ((0, 0), (2, 0), 0): Fraction(1, 2),
+            ((0, 0), (0, 2), 0): Fraction(1, 2),
+            ((0, 0), (3, 0), 0): 1,
+            ((0, 0), (1, 2), 0): Fraction(-1, 3),
+        },
+    )
+    zero_I = (0, 0)
+    solve_drops = 0
+    for _ in range(8):
+        R = random_series(rng, ctx, tr, "torus", n_terms=6, max_absI=2, max_pdeg=3, max_t=2)
+        for p_cap in (1, 3):
+            d0 = drop_count()
+            S, residual = homological_solve(H, R, p_cap=p_cap)
+            d1 = drop_count()
+            assert residual == poisson_bracket(H.series, S) + R
+            assert drop_count() - d1 == d1 - d0
+            assert all(I != zero_I and sum(J) <= p_cap for (I, J, _), _c in S.items())
+            assert all(I == zero_I or sum(J) > p_cap for (I, J, _), _c in residual.items())
+            solve_drops += d1 - d0
+    assert solve_drops > 0
 
 
 def test_homological_solve_resonance():
