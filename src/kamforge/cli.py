@@ -116,7 +116,6 @@ SCENARIO_SCHEMAS = {
             "samples": _COUNT,
             "seed": _SEED,
         },
-        {"partitions": _COUNT},
     ),
     "lie-homogeneous": _schema("lie-homogeneous", {"a": _VEC, "b": _VEC}, _ITER),
     "lie-parametric": _schema("lie-parametric", {"a": _MAT, "b": _MAT}, _ITER),
@@ -230,22 +229,16 @@ def _run_hadamard(params):
 def _run_measure(params):
     nu = _nu(params)
     _floats(nu, "nu")  # measure_estimate takes |I| to a float power
-    R = _floats(params["R"], "R")
-    out = []
-    for C in params["C_values"]:
-        C = _floats(C, "C_values")
-        est = diophantine.measure_estimate(
-            n=params["n"],
-            R=R,
-            C=C,
-            nu=nu,
-            N=params["N"],
-            samples=params["samples"],
-            seed=params["seed"],
-            partitions=params.get("partitions", 1),
-        )
-        out.append({"C": C, **est.to_json()})
-    return {"per_C": out}, {}
+    ests = diophantine.measure_estimate(
+        n=params["n"],
+        R=_floats(params["R"], "R"),
+        C_values=[_floats(C, "C_values") for C in params["C_values"]],
+        nu=nu,
+        N=params["N"],
+        samples=params["samples"],
+        seed=params["seed"],
+    )
+    return {"per_C": [est.to_json() for est in ests]}, {}
 
 
 def _run_lie_homogeneous(params):

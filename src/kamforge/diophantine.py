@@ -9,14 +9,16 @@ Vol(B_R \\ Omega(C, nu)) <= k * C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import numpy as np
 
 from .errors import InsufficientSupport, ResonantDenominator
 from .scalar import (
+    RATIONAL,
     CertifiedDecimal,
     ScalarContext,
     certified_root,
@@ -117,7 +119,8 @@ def kolmogorov_constant(omega: FrequencyVector, nu, N: int) -> DiophantineEstima
     All comparisons happen on the (2q)-th power of the quantity (s = p/q),
     so they are exact rational / quadratic-field sign tests.  For n = 2 a
     pruned sweep over the second coordinate brings the cost down to O(N);
-    other dimensions enumerate the full ball.
+    other dimensions walk the half ball (``half_ball``), since I and -I
+    give the same quantity.
     """
     if N < 1:
         raise ValueError("lattice cutoff N must be >= 1")
@@ -169,7 +172,9 @@ def _scan_dim2(omega, N, p_, q_, consider, best) -> bool:
     of |(omega, I)| satisfies
         quantity >= |omega_1| * r * |I2|^s,
     so only a short interval of candidates around the minimizer can beat
-    the current best.
+    the current best.  Only rows I2 > 0 are swept: row -I2 holds the
+    mirror images of row I2's vectors, with equal quantities, and the
+    strict comparison in ``consider`` keeps the first of equal minima.
     """
     w1, w2 = omega.entries
     if exact_sign(w1) == 0:
@@ -177,23 +182,20 @@ def _scan_dim2(omega, N, p_, q_, consider, best) -> bool:
     if consider((1, 0)) or consider((0, 1)):
         return True
     w1sq_q = (w1 * w1) ** q_
-    for b in range(1, N + 1):
-        for I2 in (b, -b):
-            xstar = -(w2 * I2) / w1
-            c0 = xstar.floor()
-            r = 1
-            lo, hi = c0, c0 + 1
-            while r <= 2 * N:
-                bound = w1sq_q * Fraction(r) ** (2 * q_) * Fraction(I2 * I2) ** p_
-                if exact_sign(bound - best["key"]) >= 0:
-                    break
-                lo, hi = c0 - r, c0 + r + 1
-                r += 1
-            for I1 in range(max(lo, -N), min(hi, N) + 1):
-                if I1 == 0 and I2 == 0:
-                    continue
-                if consider((I1, I2)):
-                    return True
+    for I2 in range(1, N + 1):
+        xstar = -(w2 * I2) / w1
+        c0 = xstar.floor()
+        r = 1
+        lo, hi = c0, c0 + 1
+        while r <= 2 * N:
+            bound = w1sq_q * Fraction(r) ** (2 * q_) * Fraction(I2 * I2) ** p_
+            if exact_sign(bound - best["key"]) >= 0:
+                break
+            lo, hi = c0 - r, c0 + r + 1
+            r += 1
+        for I1 in range(max(lo, -N), min(hi, N) + 1):
+            if consider((I1, I2)):
+                return True
     return False
 
 
@@ -342,102 +344,78 @@ def decay_fit(f: FourierTable) -> DecayFit:
 
 @dataclass(frozen=True)
 class MeasureEstimate:
+    C: float
     fraction_bad: float
     stderr: float
     samples: int
     seed: int
-    partitions: int
     min_margin: float
     exact_rechecks: int
 
     def to_json(self) -> dict:
-        return {
-            "fraction_bad": self.fraction_bad,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "seed": self.seed,
-            "partitions": self.partitions,
-            "min_margin": self.min_margin,
-            "exact_rechecks": self.exact_rechecks,
-        }
+        return asdict(self)
 
 
-def _exact_bad(sample, C, s: Fraction, lattice) -> bool:
-    """Exact re-test of a borderline sample, on its rounded coordinates."""
-    w = [Fraction(x) for x in sample]
-    Csq = Fraction(C) ** (2 * s.denominator)
-    for I in lattice:
-        dot = sum(wi * i for wi, i in zip(w, I))
-        if _power_key(dot, sum(i * i for i in I), s) < Csq:
-            return True
-    return False
+# lattice cells (sample x vector) per batch of the float statistic
+_BATCH_CELLS = 2**20
 
 
 def measure_estimate(
     n: int,
     R: float,
-    C: float,
+    C_values,
     nu,
     N: int,
     samples: int,
     seed: int,
-    partitions: int = 1,
-) -> MeasureEstimate:
-    """Monte-Carlo estimate of the bad-frequency fraction in the ball B_R.
+) -> list[MeasureEstimate]:
+    """Monte-Carlo estimates, one per C, of the bad-frequency fraction in the ball B_R.
 
-    A sample omega is bad when some 0 < |I|_sup <= N violates
-    |(omega, I)| >= C / |I|^(n-1+nu).  Sampling is seeded rejection from
-    the bounding cube, so results are bit-for-bit reproducible for a fixed
-    (seed, partitions); samples whose decision margin falls below 1e-12
-    are re-tested in exact rational arithmetic.
+    Each sample omega is scored once by the quantity ``kolmogorov_constant``
+    minimizes, m(omega) = min over 0 < |I|_sup <= N of |(omega, I)| * |I|^s
+    with s = n - 1 + nu, and is bad for C when m(omega) < C.  The samples
+    are drawn once, by seeded rejection from the bounding cube on the one
+    stream ``np.random.default_rng(seed)``, so every C sees the same samples.
+
+    In floats, (omega, I) is off by at most about n^1.5 * 2^-53 * R * N, an
+    error that |I|^s multiplies, and the power and the product add about
+    (|s| + 3) ulps of relative error; tol = 1e-12 * (R * N * max|I|^s +
+    (1 + |s|) * |C|) bounds both by a wide margin.  A sample with
+    |m(omega) - C| < tol, or with a non-finite m(omega), is rechecked
+    exactly: ``kolmogorov_constant`` of its coordinates (exact binary
+    fractions) gives m(omega)^(2q) for s = p/q, compared with C^(2q).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if partitions < 1:
-        raise ValueError("partitions must be >= 1")
     nu = Fraction(nu)
     s = n - 1 + nu
     lattice = np.array(list(half_ball(n, N)), dtype=float)
-    norms = np.sqrt((lattice**2).sum(axis=1))
-    thresh = C / norms ** float(s)
+    weights = np.sqrt((lattice**2).sum(axis=1)) ** float(s)
+    rng = np.random.default_rng(seed)
+    pts = np.empty((0, n))
+    while len(pts) < samples:
+        cand = rng.uniform(-R, R, size=(max(samples, 1024), n))
+        pts = np.vstack([pts, cand[(cand**2).sum(axis=1) <= R * R]])
+    pts = pts[:samples]
+    batch = max(1, _BATCH_CELLS // len(lattice))
+    stat = np.concatenate([
+        (np.abs(pts[lo : lo + batch] @ lattice.T) * weights).min(axis=1)
+        for lo in range(0, samples, batch)
+    ])
 
-    counts = [samples // partitions] * partitions
-    counts[0] += samples - sum(counts)
-    n_bad = 0
-    min_margin = np.inf
-    rechecks = 0
-    int_lattice = None
-    for part, count in enumerate(counts):
-        rng = np.random.default_rng(seed if partitions == 1 else [seed, part])
-        pts = np.empty((0, n))
-        while len(pts) < count:
-            cand = rng.uniform(-R, R, size=(max(count, 1024), n))
-            cand = cand[(cand**2).sum(axis=1) <= R * R]
-            pts = np.vstack([pts, cand])
-        pts = pts[:count]
-        batch = max(1, min(count, 10_000_000 // max(1, len(lattice))))
-        for lo in range(0, count, batch):
-            chunk = pts[lo : lo + batch]
-            margins = (np.abs(chunk @ lattice.T) - thresh).min(axis=1)
-            n_bad += int((margins < 0).sum())
-            m = float(np.abs(margins).min()) if len(margins) else np.inf
-            min_margin = min(min_margin, m)
-            narrow = np.nonzero(np.abs(margins) < 1e-12)[0]
-            for idx in narrow:
-                rechecks += 1
-                if int_lattice is None:
-                    int_lattice = [tuple(map(int, v)) for v in lattice]
-                exact = _exact_bad(chunk[idx], C, s, int_lattice)
-                if exact != bool(margins[idx] < 0):
-                    n_bad += 1 if exact else -1
-    frac = n_bad / samples
-    stderr = float(np.sqrt(frac * (1.0 - frac) / samples))
-    return MeasureEstimate(
-        fraction_bad=frac,
-        stderr=stderr,
-        samples=samples,
-        seed=seed,
-        partitions=partitions,
-        min_margin=float(min_margin),
-        exact_rechecks=rechecks,
-    )
+    @cache
+    def exact(i) -> DiophantineEstimate:
+        return kolmogorov_constant(FrequencyVector(tuple(map(Fraction, pts[i])), RATIONAL), nu, N)
+
+    out = []
+    for C in C_values:
+        gap = np.abs(stat - C)
+        tol = 1e-12 * (R * N * weights.max() + (1 + abs(float(s))) * abs(C))
+        narrow = np.flatnonzero(~(gap >= tol))  # NaN gaps too
+        bad = stat < C
+        bad[narrow] = [C > 0 and exact(i).min_power < Fraction(C) ** exact(i).power for i in narrow]
+        frac = int(bad.sum()) / samples
+        stderr = float(np.sqrt(frac * (1.0 - frac) / samples))
+        margin = float(gap[np.isfinite(gap)].min(initial=np.inf))
+        out.append(MeasureEstimate(C, frac, stderr, samples, seed, margin, len(narrow)))
+    return out

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isfinite, isqrt, lcm, sqrt
+from math import exp, gcd, isfinite, isqrt, lcm, log, sqrt
 
 from .errors import ContextMismatch, DivisionByZero, InvalidInput, RationalInput
 
@@ -373,16 +373,27 @@ def convergents(quotients: list[int]) -> list[tuple[int, int]]:
 # certified real approximations
 
 
-def rational_bounds(x, digits: int = 30) -> tuple[Fraction, Fraction]:
-    """An exact rational interval [lo, hi] containing x."""
+def rational_bounds(x) -> tuple[Fraction, Fraction]:
+    """An exact rational interval [lo, hi] containing x, of width at most 1e-20 * |lo|.
+
+    A high power of a quadratic irrational is small with huge a and b that
+    cancel, so the digits of sqrt(d) are doubled, from 30, until the
+    interval excludes 0 (an irrational x is not 0) and is that narrow.
+    """
     if not isinstance(x, QuadScalar):
         f = Fraction(x)
         return f, f
-    scale = 10**digits
-    r = isqrt(x.d * scale * scale)  # r <= sqrt(d) * scale < r + 1
-    lo = Fraction(x.a * scale + x.b * r, x.den * scale)
-    hi = Fraction(x.a * scale + x.b * (r + 1), x.den * scale)
-    return (lo, hi) if x.b >= 0 else (hi, lo)
+    digits = 30
+    while True:
+        scale = 10**digits
+        r = isqrt(x.d * scale * scale)  # r <= sqrt(d) * scale < r + 1
+        lo = Fraction(x.a * scale + x.b * r, x.den * scale)
+        hi = Fraction(x.a * scale + x.b * (r + 1), x.den * scale)
+        if x.b < 0:
+            lo, hi = hi, lo
+        if not x.b or ((lo > 0 or hi < 0) and (hi - lo) * 10**20 <= abs(lo)):
+            return lo, hi
+        digits *= 2
 
 
 @dataclass(frozen=True)
@@ -415,8 +426,13 @@ def certified_root(power_value, power: int) -> CertifiedDecimal:
         return CertifiedDecimal(0.0, 0.0)
     if lo < 0:
         lo = Fraction(0)
-    value = float(hi) ** (1.0 / power)
-    err = max(1e-14 * value, (float(hi) - float(lo)) + 1e-300)
+    try:
+        value = float(hi) ** (1.0 / power)
+    except OverflowError:
+        value = 0.0
+    if not value:  # hi lies outside the float range: take the root in logs
+        value = exp((log(hi.numerator) - log(hi.denominator)) / power)
+    err = max(1e-14 * value, 1e-300)
     while True:
         vlo = Fraction(value) - Fraction(err)
         vhi = Fraction(value) + Fraction(err)

@@ -364,9 +364,9 @@ def test_criterion_09_liouville_witness():
 def test_criterion_10_measure_estimate():
     c = Criterion(10, "measure estimate", 180)
     Cs = [0.1, 0.05, 0.025]
-    ests = {
-        C: measure_estimate(n=2, R=1.0, C=C, nu=1, N=50, samples=100_000, seed=7) for C in Cs
-    }
+    ests = dict(
+        zip(Cs, measure_estimate(n=2, R=1.0, C_values=Cs, nu=1, N=50, samples=100_000, seed=7))
+    )
     fr = [ests[C].fraction_bad for C in Cs]
     c.check(fr[2] <= fr[1] <= fr[0], "fraction_bad not monotone in C")
     # In the unit disc the band |(omega, I)| < C/|I|^2 is the strip of half-width

@@ -1,9 +1,11 @@
+import decimal
 import json
 import os
 import stat
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -193,9 +195,8 @@ BAD_INPUT = {
     "overflowing-float": json.dumps(HADAMARD)[:-1] + ', "decay_rate": 1e999}',
     "nan-in-unknown-kind": '{"kind": "no-such-kind", "x": NaN}',
     "kind-not-a-string": {"kind": [1]},
-    # exp overflows, so the decay fit is NaN; C / |I|^s overflows to infinity
+    # exp overflows, so the decay fit is NaN
     "hadamard-nan-fit": {**HADAMARD, "decay_rate": -1000},
-    "measure-infinite-threshold": {**MEASURE, "C_values": [1e308], "nu": "-5"},
     # JSON integers are unbounded; these do not fit in the floats the handlers use
     "hadamard-huge-integer-rate": {**HADAMARD, "decay_rate": 10**400},
     "measure-huge-integer-R": {**MEASURE, "R": 10**400, "C_values": [0.1], "nu": "1"},
@@ -210,6 +211,7 @@ BAD_INPUT = {
     "integer-of-5001-digits": json.dumps(HADAMARD)[:-1] + ', "decay_rate": 1' + "0" * 5000 + "}",
     "measure-huge-integer-nu": {**MEASURE, "C_values": [0.1], "nu": "1" + "0" * 400},
     "measure-negative-seed": {**MEASURE, "C_values": [0.1], "nu": "1", "seed": -1},
+    "measure-partitions": {**MEASURE, "C_values": [0.1], "nu": "1", "partitions": 4},
     "selftest-negative-seed": {"kind": "selftest", "seed": -5},
     "resonances-empty-omega": _resonances({"mode": "rational"}, []),
     "diophantine-empty-omega": {**DIOPHANTINE, "omega": []},
@@ -233,6 +235,7 @@ EXPECTED = {
     "nan-in-unknown-kind": (2, "SchemaError"),
     "kind-not-a-string": (2, "SchemaError"),
     "measure-negative-seed": (2, "SchemaError"),
+    "measure-partitions": (2, "SchemaError"),  # every C is answered from one sample stream
     "selftest-negative-seed": (2, "SchemaError"),
     "resonances-empty-omega": (2, "SchemaError"),
     "diophantine-empty-omega": (2, "SchemaError"),
@@ -241,7 +244,6 @@ EXPECTED = {
     "boolean-literal-in-term": (2, "SchemaError"),
     "float-in-omega": (2, "SchemaError"),
     "hadamard-nan-fit": (1, "NonFiniteResult"),
-    "measure-infinite-threshold": (1, "NonFiniteResult"),
 }
 
 
@@ -319,6 +321,42 @@ def test_measure_scenario_runs(tmp_path):
     rep = json.loads(out.read_text())
     row = rep["results"]["per_C"][0]
     assert 0.0 <= row["fraction_bad"] <= 1.0 and row["seed"] == 5
+
+
+def test_measure_huge_threshold_is_a_report(tmp_path):
+    # s = -4, so m(omega) <= |(omega, I)| for |I| = 1 stays finite and far below C
+    scen = {**MEASURE, "C_values": [1e308], "nu": "-5"}
+    out = tmp_path / "m.json"
+    assert run_scenario(write(tmp_path, "s.json", scen), str(out)) == 0
+    assert json.loads(out.read_text())["results"]["per_C"][0]["fraction_bad"] == 1.0
+
+
+@pytest.mark.parametrize("nu", ["51/50", "1001/1000"])
+def test_diophantine_certified_past_cancellation(tmp_path, nu):
+    """A high power of 1 + I2 sqrt(2) cancels far past 30 digits of sqrt(2)."""
+    N = 10
+    scen = {
+        "kind": "diophantine",
+        "context": {"mode": "quadratic", "d": 2},
+        "omega": ["1", [0, 1, 2]],
+        "nu": nu,
+        "N": N,
+    }
+    out = tmp_path / "d.json"
+    assert run_scenario(write(tmp_path, "s.json", scen), str(out)) == 0
+    value, err = json.loads(out.read_text())["results"]["C_est"]
+    # independent oracle: the minimum over the half ball in 50-digit decimals
+    with decimal.localcontext(decimal.Context(prec=50)):
+        s = 1 + decimal.Decimal(Fraction(nu).numerator) / Fraction(nu).denominator
+        root2 = decimal.Decimal(2).sqrt()
+        true = min(
+            abs(i1 + i2 * root2) * decimal.Decimal(i1 * i1 + i2 * i2) ** (s / 2)
+            for i1 in range(-N, N + 1)
+            for i2 in range(0, N + 1)
+            if i2 > 0 or i1 > 0
+        )
+    v, e = decimal.Decimal(value), decimal.Decimal(err)
+    assert v - e <= true <= v + e and err <= 1e-13 * value
 
 
 def test_lie_scenarios(tmp_path):

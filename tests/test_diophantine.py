@@ -46,13 +46,13 @@ def test_kolmogorov_constant_monotone_in_N():
 
 
 def test_pruned_scan_matches_brute_force():
-    # the n=2 fast path must agree with full exact enumeration
-    for omega, nu in [
+    # the n=2 fast path must agree with full exact enumeration, also when
+    # the minimizer lies in the last row |I2| = N
+    for (omega, nu), N in product([
         (OMEGA_SQRT2, 1),
         (FrequencyVector((CTX2.sqrt_d(), -2), CTX2), 1),
         (FrequencyVector((Fraction(3, 7), Fraction(22, 9)), RATIONAL), Fraction(1, 2)),
-    ]:
-        N = 25
+    ], (1, 2, 3, 7, 25)):
         s = Fraction(1 + Fraction(nu))
         p_, q_ = s.numerator, s.denominator
         best, worst = None, None
@@ -163,18 +163,26 @@ def test_decay_fit_examples():
 
 def test_measure_estimate_reproducible_and_limits():
     kw = dict(n=2, R=1.0, nu=1, N=20, samples=4000, seed=11)
-    e1 = measure_estimate(C=0.05, **kw)
-    e2 = measure_estimate(C=0.05, **kw)
-    assert e1 == e2
-    assert measure_estimate(C=1e-12, **kw).fraction_bad == 0.0
-    assert measure_estimate(C=100.0, **kw).fraction_bad == 1.0
+    [e1] = measure_estimate(C_values=[0.05], **kw)
+    assert measure_estimate(C_values=[0.05], **kw) == [e1]
+    tiny, small, mid, big, huge = measure_estimate(C_values=[1e-12, 0.02, 0.05, 0.1, 100.0], **kw)
+    assert tiny.fraction_bad == 0.0 and huge.fraction_bad == 1.0
     # same samples: badness is monotone in C
-    fr = [measure_estimate(C=c, **kw).fraction_bad for c in (0.02, 0.05, 0.1)]
-    assert fr[0] <= fr[1] <= fr[2]
+    assert small.fraction_bad <= mid.fraction_bad <= big.fraction_bad
+    # one pass answers each C as a call for that C alone does
+    assert mid == e1
 
 
-def test_measure_estimate_partitions_recorded():
-    est = measure_estimate(n=2, R=1.0, C=0.05, nu=1, N=10, samples=1000, seed=3, partitions=4)
-    assert est.partitions == 4
-    est2 = measure_estimate(n=2, R=1.0, C=0.05, nu=1, N=10, samples=1000, seed=3, partitions=4)
-    assert est == est2
+def test_measure_estimate_rechecks_borderline_sample_exactly():
+    # the one sample is the first point of the seed's stream inside the unit disc
+    cand = np.random.default_rng(4).uniform(-1.0, 1.0, size=(1024, 2))
+    omega = cand[(cand**2).sum(axis=1) <= 1.0][0]
+    exact = kolmogorov_constant(FrequencyVector(tuple(map(Fraction, omega)), RATIONAL), 1, 10)
+    # m(omega) lies between adjacent floats near the certified value
+    c = exact.c_est.value
+    Cs = [np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)]
+    ests = measure_estimate(n=2, R=1.0, C_values=Cs, nu=1, N=10, samples=1, seed=4)
+    expected = [float(exact.min_power < Fraction(C) ** exact.power) for C in Cs]
+    assert [e.exact_rechecks for e in ests] == [1, 1, 1]
+    assert [e.fraction_bad for e in ests] == expected
+    assert expected[0] == 0.0 and expected[-1] == 1.0

@@ -155,11 +155,13 @@ def test_literals_round_trip():
 
 
 def test_certified_decimal_brackets_value():
-    for x in [Fraction(1, 3), S2, 3 - 2 * S2, Fraction(0)]:
+    # (3 - 2 sqrt 2)^40 is about 2.5e-31, with a and b near 1e30 that cancel
+    for x in [Fraction(1, 3), S2, 3 - 2 * S2, (3 - 2 * S2) ** 40, Fraction(0)]:
         cd = CertifiedDecimal.from_exact(x)
         lo, hi = Fraction(cd.value) - Fraction(cd.err), Fraction(cd.value) + Fraction(cd.err)
         # exact containment check
         assert exact_sign(x - lo) >= 0 and exact_sign(hi - x) >= 0
+        assert cd.err <= 1e-13 * abs(cd.value) or x == 0
 
 
 def test_certified_root():
@@ -169,6 +171,11 @@ def test_certified_root():
     hi = (Fraction(cd.value) + Fraction(cd.err)) ** 2
     assert lo <= 2 <= hi
     assert certified_root(Fraction(0), 4).value == 0.0
+    # a power beyond the float range still has a float root
+    for x, root in [(Fraction(10) ** 1000, 1e250), (Fraction(1, 10**1000), 1e-250)]:
+        cd = certified_root(x, 4)
+        v, e = Fraction(cd.value), Fraction(cd.err)
+        assert (v - e) ** 4 <= x <= (v + e) ** 4 and cd.err <= 1e-11 * root
 
 
 # ---------------------------------------------------------------------------
