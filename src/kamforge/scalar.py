@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, gcd, isfinite, isqrt, lcm, log, sqrt
+from math import gcd, isfinite, isqrt, lcm, ldexp, sqrt
 
 from .errors import ContextMismatch, DivisionByZero, InvalidInput, RationalInput
 
@@ -430,8 +430,9 @@ def certified_root(power_value, power: int) -> CertifiedDecimal:
         value = float(hi) ** (1.0 / power)
     except OverflowError:
         value = 0.0
-    if not value:  # hi lies outside the float range: take the root in logs
-        value = exp((log(hi.numerator) - log(hi.denominator)) / power)
+    if not value:  # hi lies outside the float range: root of hi / 2^(power*e)
+        e = (hi.numerator.bit_length() - hi.denominator.bit_length()) // power
+        value = ldexp(float(hi / Fraction(2) ** (power * e)) ** (1.0 / power), e)
     err = max(1e-14 * value, 1e-300)
     while True:
         vlo = Fraction(value) - Fraction(err)

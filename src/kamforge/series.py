@@ -12,6 +12,14 @@ or Dp is skipped without visiting its term pairs, and the terms it would
 have produced are added to the drop counter in closed form, so the count
 stays exact; only the q-bound is tested term by term.
 
+Both kernels work on integers.  Each operand's coefficients are brought
+over one common denominator D (the lcm of their denominators), so a
+coefficient is (a + b*sqrt(d)) / D with integer a and b.  Every kept term
+pair adds a plain integer pair to its output key, and each output term is
+reduced to lowest terms once, at the end, over the denominator Df * Dg.
+A key whose sum cancels is left out, so a result may list its keys in
+another order than a term-by-term sum would; the series is the same.
+
 The bracket convention is fixed once and for all:
 
 * torus mode:       {p_j, q_k} = q_k delta_jk,
@@ -24,11 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import add
 
 from .errors import ContextMismatch, GeneratorOrderViolation, InvalidInput
-from .scalar import ScalarContext, format_literal, parse_literal
+from .scalar import ScalarContext, _make, format_literal, parse_literal
 
 __all__ = [
     "TruncationSpec",
@@ -227,31 +235,34 @@ class PoissonSeries:
         self._check(other)
         trunc = self.trunc
         Dt, Dp, Nq = trunc.Dt, trunc.Dp, trunc.Nq
-        right = _grade(other)
+        d = self.context.d or 0
+        Df, left = _numerators(self)
+        Dg, right = _numerators(other)
         dropped = 0
         acc = {}
-        for (k1, p1), A in _grade(self).items():
+        for (k1, p1), A in left.items():
             for (k2, p2), B in right.items():
                 k = k1 + k2
                 if k > Dt or p1 + p2 > Dp:
                     dropped += len(A) * len(B)
                     continue
-                for I1, J1, c1 in A:
-                    for I2, J2, c2 in B:
+                for I1, J1, a1, b1 in A:
+                    for I2, J2, a2, b2 in B:
                         I = tuple(map(add, I1, I2))
                         if min(I) < -Nq or max(I) > Nq:
                             dropped += 1
                             continue
-                        c = c1 * c2
                         key = (I, tuple(map(add, J1, J2)), k)
+                        x = a1 * a2 + d * b1 * b2
+                        y = a1 * b2 + a2 * b1
                         s = acc.get(key)
-                        s = c if s is None else s + c
-                        if s:
-                            acc[key] = s
+                        if s is None:
+                            acc[key] = [x, y]
                         else:
-                            acc.pop(key, None)
+                            s[0] += x
+                            s[1] += y
         _note_drop(dropped)
-        return self._like(acc)
+        return self._like(_normalize(acc, Df * Dg, d))
 
     def __rmul__(self, other):
         if isinstance(other, PoissonSeries):
@@ -324,12 +335,23 @@ class PoissonSeries:
         return " + ".join(parts)
 
 
-def _grade(f: PoissonSeries) -> dict:
-    """The terms of f as (I, J, c) lists keyed by (t-degree, p-degree)."""
+def _numerators(f: PoissonSeries) -> tuple[int, dict]:
+    """A common denominator D of f's coefficients, and f's terms as
+    (I, J, a, b) lists keyed by (t-degree, p-degree), where each
+    coefficient is (a + b*sqrt(d)) / D."""
+    terms = f._terms
+    D = lcm(*(c.den for c in terms.values()))
     buckets = {}
-    for (I, J, k), c in f._terms.items():
-        buckets.setdefault((k, sum(J)), []).append((I, J, c))
-    return buckets
+    for (I, J, k), c in terms.items():
+        m = D // c.den
+        buckets.setdefault((k, sum(J)), []).append((I, J, c.a * m, c.b * m))
+    return D, buckets
+
+
+def _normalize(acc: dict, den: int, d: int) -> dict:
+    """The integer pairs (A, B) of acc as scalars (A + B*sqrt(d)) / den,
+    without the keys whose sum cancelled."""
+    return {key: _make(A, B, den, d) for key, (A, B) in acc.items() if A or B}
 
 
 def _census(bucket: list, n: int) -> list:
@@ -339,7 +361,7 @@ def _census(bucket: list, n: int) -> list:
     for j in range(n):
         zeros = 0
         dirs = {}
-        for I, J, _ in bucket:
+        for I, J, _, _ in bucket:
             a, b = I[j], J[j]
             if b:
                 g = gcd(a, b)
@@ -361,6 +383,8 @@ def _bracket_drops(A: list, B: list, census_A: list, census_B: list) -> int:
     out = 0
     for (zA, dA), (zB, dB) in zip(census_A, census_B):
         parallel = zA * len(B) + zB * len(A) - zA * zB
+        if len(dA) > len(dB):  # the sum is symmetric: walk the smaller map
+            dA, dB = dB, dA
         parallel += sum(m * dB.get(d, 0) for d, m in dA.items())
         out += size - parallel
     return out
@@ -376,12 +400,22 @@ def poisson_bracket(f: PoissonSeries, g: PoissonSeries) -> PoissonSeries:
     terms of t-degree k1 + k2 and p-degree |J1| + |J2| - 1, so the pairs
     of (t, p)-buckets that land outside the window are never visited;
     their drops are counted in closed form from each bucket's census.
+
+    Coefficients are taken over one common denominator per operand, so a
+    kept pair of terms (a1 + b1*sqrt(d)) / Df and (a2 + b2*sqrt(d)) / Dg
+    with weight w adds the integers w*(a1*a2 + d*b1*b2) and
+    w*(a1*b2 + a2*b1) to its output key; each output term is reduced
+    once, over Df * Dg.  Keys whose sum cancels are left out, so the
+    result may list its keys in another order than a term-by-term sum
+    would; the series, and every sorted view of it, is the same.
     """
     f._check(g)
     trunc = f.trunc
     n, Dt, Dp, Nq = trunc.n, trunc.Dt, trunc.Dp, trunc.Nq
     torus = f.mode == "torus"
-    right = _grade(g)
+    d = f.context.d or 0
+    Df, left = _numerators(f)
+    Dg, right = _numerators(g)
     census = {}  # id(bucket) -> its census, computed on first need
 
     def census_of(bucket):
@@ -391,15 +425,15 @@ def poisson_bracket(f: PoissonSeries, g: PoissonSeries) -> PoissonSeries:
 
     dropped = 0
     acc = {}
-    for (k1, p1), A in _grade(f).items():
+    for (k1, p1), A in left.items():
         for (k2, p2), B in right.items():
             k = k1 + k2
             if k > Dt or p1 + p2 - 1 > Dp:
                 dropped += _bracket_drops(A, B, census_of(A), census_of(B))
                 continue
-            for I1, J1, c1 in A:
-                for I2, J2, c2 in B:
-                    c12 = None
+            for I1, J1, a1, b1 in A:
+                for I2, J2, a2, b2 in B:
+                    x = None
                     for j in range(n):
                         w = J1[j] * I2[j] - I1[j] * J2[j]
                         if not w:
@@ -413,17 +447,17 @@ def poisson_bracket(f: PoissonSeries, g: PoissonSeries) -> PoissonSeries:
                         J = list(map(add, J1, J2))
                         J[j] -= 1
                         key = (tuple(I), tuple(J), k)
-                        if c12 is None:
-                            c12 = c1 * c2
-                        c = c12 * w
+                        if x is None:
+                            x = a1 * a2 + d * b1 * b2
+                            y = a1 * b2 + a2 * b1
                         s = acc.get(key)
-                        s = c if s is None else s + c
-                        if s:
-                            acc[key] = s
+                        if s is None:
+                            acc[key] = [w * x, w * y]
                         else:
-                            acc.pop(key, None)
+                            s[0] += w * x
+                            s[1] += w * y
     _note_drop(dropped)
-    return f._like(acc)
+    return f._like(_normalize(acc, Df * Dg, d))
 
 
 def average(f: PoissonSeries) -> PoissonSeries:

@@ -167,14 +167,31 @@ def test_poisson_axioms(mode, rng):
 
 # -- independent all-pairs reference for the bracket and the product ------
 #
-# Written from the definitions on dicts of Fractions: every pair of terms
+# Written from the definitions on dicts of coefficient pairs (x, y) of
+# Fractions, standing for x + y*sqrt(d) (d = 0 in Q): every pair of terms
 # is visited, and each term produced outside the window is one drop.
 
 def _outside(tr, I, J, k):
     return k > tr.Dt or sum(J) > tr.Dp or any(abs(i) > tr.Nq for i in I)
 
 
-def _ref_bracket(f, g, mode, tr):
+def _times(c1, c2, d, w=1):
+    (x1, y1), (x2, y2) = c1, c2
+    return (w * (x1 * x2 + d * y1 * y2), w * (x1 * y2 + x2 * y1))
+
+
+def _accumulate(acc, key, c):
+    x, y = acc.get(key, (Fraction(0), Fraction(0)))
+    acc[key] = (x + c[0], y + c[1])
+
+
+def _nonzero(acc):
+    """The reference result without its zero sums, and their number."""
+    out = {key: c for key, c in acc.items() if c != (0, 0)}
+    return out, len(acc) - len(out)
+
+
+def _ref_bracket(f, g, mode, tr, d):
     acc, drops = {}, 0
     for (I1, J1, k1), c1 in f.items():
         for (I2, J2, k2), c2 in g.items():
@@ -191,12 +208,11 @@ def _ref_bracket(f, g, mode, tr):
                 if _outside(tr, I, J, k1 + k2):
                     drops += 1
                     continue
-                key = (tuple(I), tuple(J), k1 + k2)
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2 * w
-    return {key: c for key, c in acc.items() if c}, drops
+                _accumulate(acc, (tuple(I), tuple(J), k1 + k2), _times(c1, c2, d, w))
+    return acc, drops
 
 
-def _ref_product(f, g, tr):
+def _ref_product(f, g, tr, d):
     acc, drops = {}, 0
     for (I1, J1, k1), c1 in f.items():
         for (I2, J2, k2), c2 in g.items():
@@ -205,9 +221,8 @@ def _ref_product(f, g, tr):
             if _outside(tr, I, J, k1 + k2):
                 drops += 1
                 continue
-            key = (tuple(I), tuple(J), k1 + k2)
-            acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-    return {key: c for key, c in acc.items() if c}, drops
+            _accumulate(acc, (tuple(I), tuple(J), k1 + k2), _times(c1, c2, d))
+    return acc, drops
 
 
 # (I_j, J_j) per coordinate: zero, antiparallel (1,0)/(-2,0), parallel
@@ -215,7 +230,11 @@ def _ref_product(f, g, tr):
 _PAIRS = [(0, 0), (1, 0), (-2, 0), (1, 1), (2, 2), (-1, 1), (0, 1), (0, 2), (3, 1), (-1, 2)]
 
 
-def _pool_terms(rng, tr, size, k_choices, p_choices):
+def _rational_coeff(rng):
+    return Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)), Fraction(0)
+
+
+def _pool_terms(rng, tr, size, k_choices, p_choices, coeff=_rational_coeff):
     """Up to ``size`` terms inside the window with t-degree in k_choices and
     p-degree in p_choices, each coordinate drawn from _PAIRS."""
     terms = {}
@@ -226,20 +245,40 @@ def _pool_terms(rng, tr, size, k_choices, p_choices):
         I = tuple(a for a, _ in pairs)
         J = tuple(b for _, b in pairs)
         if sum(J) in p_choices and max(map(abs, I)) <= tr.Nq:
-            terms[(I, J, rng.choice(k_choices))] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+            terms[(I, J, rng.choice(k_choices))] = coeff(rng)
     return terms
 
 
-def _check_against_reference(tr, mode, f_terms, g_terms):
-    """Equal series and an equal drop-count delta, for {f, g} and f * g."""
-    f = PoissonSeries(RATIONAL, tr, mode, f_terms)
-    g = PoissonSeries(RATIONAL, tr, mode, g_terms)
-    before = drop_count()
-    got = {key: Fraction(str(c)) for key, c in poisson_bracket(f, g).items()}
-    assert (got, drop_count() - before) == _ref_bracket(f_terms, g_terms, mode, tr)
-    before = drop_count()
-    got = {key: Fraction(str(c)) for key, c in (f * g).items()}
-    assert (got, drop_count() - before) == _ref_product(f_terms, g_terms, tr)
+def _series(ctx, tr, mode, terms):
+    def value(x, y):
+        return ctx.coerce(x) + ctx.sqrt_d() * y if y else ctx.coerce(x)
+
+    return PoissonSeries(ctx, tr, mode, {key: value(*c) for key, c in terms.items()})
+
+
+def _as_pairs(f):
+    """The coefficients of f as (x, y) pairs; no stored coefficient is 0."""
+    assert all(c for _, c in f.items())
+    return {key: (Fraction(c.a, c.den), Fraction(c.b, c.den)) for key, c in f.items()}
+
+
+def _check_against_reference(tr, mode, f_terms, g_terms, ctx=RATIONAL):
+    """Equal series and an equal drop-count delta, for {f, g} and f * g;
+    returns the number of output keys whose sum cancelled."""
+    d = ctx.d or 0
+    f, g = _series(ctx, tr, mode, f_terms), _series(ctx, tr, mode, g_terms)
+    cancelled = 0
+    for op, ref in (
+        (poisson_bracket, lambda: _ref_bracket(f_terms, g_terms, mode, tr, d)),
+        (PoissonSeries.__mul__, lambda: _ref_product(f_terms, g_terms, tr, d)),
+    ):
+        before = drop_count()
+        got = _as_pairs(op(f, g))
+        acc, drops = ref()
+        want, zeros = _nonzero(acc)
+        assert (got, drop_count() - before) == (want, drops)
+        cancelled += zeros
+    return cancelled
 
 
 @pytest.mark.parametrize("mode", ["torus", "symplectic"])
@@ -251,6 +290,40 @@ def test_bracket_and_product_match_all_pairs_reference(mode, n):
         ks, ps = range(tr.Dt + 1), range(tr.Dp + 1)
         f_terms = _pool_terms(rng, tr, rng.randint(0, 8), ks, ps)
         _check_against_reference(tr, mode, f_terms, _pool_terms(rng, tr, rng.randint(0, 8), ks, ps))
+
+
+def _quadratic_coeff(rng):
+    """x + y*sqrt(d) with pairwise coprime denominators, so that one
+    operand's common denominator is a true lcm of its terms'."""
+    dens = (1, 3, 5, 7, 11)
+    x = Fraction(rng.randint(-9, 9), rng.choice(dens))
+    y = Fraction(rng.randint(-9, 9), rng.choice(dens))
+    return (x, y) if x or y else (Fraction(1, rng.choice(dens)), y)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("mode", ["torus", "symplectic"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_bracket_and_product_match_all_pairs_reference_quadratic(d, mode, n):
+    rng = random.Random(100 * d + 10 * n + len(mode))
+    ctx = quadratic(d)
+    cancelled = 0
+    for _ in range(40):
+        tr = TruncationSpec(n=n, Dp=rng.randint(1, 4), Dt=rng.randint(0, 3), Nq=rng.randint(1, 3))
+        ks, ps = range(tr.Dt + 1), range(tr.Dp + 1)
+        u = _pool_terms(rng, tr, rng.randint(1, 6), ks, ps, _quadratic_coeff)
+        v = _pool_terms(rng, tr, rng.randint(1, 6), ks, ps, _quadratic_coeff)
+        v = {key: c for key, c in v.items() if key not in u}
+        s = _quadratic_coeff(rng)
+        # (u + v) * s(u - v): the cross terms s*u_i*v_j cancel in pairs
+        f = {**u, **v}
+        g = {key: _times(s, c, d, -1 if key in v else 1) for key, c in f.items()}
+        cancelled += _check_against_reference(tr, mode, f, g, ctx)
+        # g is s*f off e's keys, plus e: in {f, g} the pairs of f x s*f cancel
+        e = _pool_terms(rng, tr, rng.randint(0, 4), ks, ps, _quadratic_coeff)
+        g = {key: _times(s, c, d) for key, c in f.items() if key not in e}
+        cancelled += _check_against_reference(tr, mode, f, {**g, **e}, ctx)
+    assert cancelled > 0  # some output sums did cancel exactly
 
 
 @pytest.mark.parametrize("mode", ["torus", "symplectic"])
