@@ -430,9 +430,10 @@ def certified_root(power_value, power: int) -> CertifiedDecimal:
         value = float(hi) ** (1.0 / power)
     except OverflowError:
         value = 0.0
-    if not value:  # hi lies outside the float range: root of hi / 2^(power*e)
-        e = (hi.numerator.bit_length() - hi.denominator.bit_length()) // power
-        value = ldexp(float(hi / Fraction(2) ** (power * e)) ** (1.0 / power), e)
+    if not value:  # hi lies outside the float range: hi = m * 2^L, m in [1/2, 2)
+        L = hi.numerator.bit_length() - hi.denominator.bit_length()
+        e, r = divmod(L, power)
+        value = ldexp(float(hi / Fraction(2) ** L) ** (1.0 / power) * 2.0 ** (r / power), e)
     err = max(1e-14 * value, 1e-300)
     while True:
         vlo = Fraction(value) - Fraction(err)

@@ -401,13 +401,10 @@ def poisson_bracket(f: PoissonSeries, g: PoissonSeries) -> PoissonSeries:
     of (t, p)-buckets that land outside the window are never visited;
     their drops are counted in closed form from each bucket's census.
 
-    Coefficients are taken over one common denominator per operand, so a
-    kept pair of terms (a1 + b1*sqrt(d)) / Df and (a2 + b2*sqrt(d)) / Dg
-    with weight w adds the integers w*(a1*a2 + d*b1*b2) and
-    w*(a1*b2 + a2*b1) to its output key; each output term is reduced
-    once, over Df * Dg.  Keys whose sum cancels are left out, so the
-    result may list its keys in another order than a term-by-term sum
-    would; the series, and every sorted view of it, is the same.
+    A kept pair of terms (a1 + b1*sqrt(d)) / Df and (a2 + b2*sqrt(d)) / Dg
+    with weight w adds w*(a1*a2 + d*b1*b2) and w*(a1*b2 + a2*b1) to its
+    output key (see the module docstring for the denominators and the
+    key order).
     """
     f._check(g)
     trunc = f.trunc

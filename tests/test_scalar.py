@@ -172,7 +172,10 @@ def test_certified_root():
     assert lo <= 2 <= hi
     assert certified_root(Fraction(0), 4).value == 0.0
     # a power beyond the float range still has a float root, as tight as in range
-    for x, power in [(Fraction(10) ** 1000, 4), (Fraction(1, 10**1000), 4), (Fraction(10) ** 400, 3)]:
+    cases = [(Fraction(10) ** 1000, 4), (Fraction(1, 10**1000), 4), (Fraction(10) ** 400, 3)]
+    cases += [(Fraction(2) ** 1500, 2000), (Fraction(10) ** 1000, 2000), (Fraction(10) ** 5000, 2000)]
+    cases += [(Fraction(1, 10**5000), 2000), (Fraction(10**5000 + 1, 10**4000), 2001)]
+    for x, power in cases:
         cd = certified_root(x, power)
         v, e = Fraction(cd.value), Fraction(cd.err)
         assert (v - e) ** power <= x <= (v + e) ** power and cd.err <= 2e-14 * cd.value
