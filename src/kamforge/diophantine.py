@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 
@@ -356,8 +356,63 @@ class MeasureEstimate:
         return asdict(self)
 
 
-# lattice cells (sample x vector) per batch of the float statistic
-_BATCH_CELLS = 2**20
+# lattice cells (sample x row) per batch of the float statistic
+_BATCH_CELLS = 2**16
+
+
+def _row_statistic(pts: np.ndarray, s: float, N: int) -> np.ndarray:
+    """m(omega) = min over 0 < |I|_sup <= N of |(omega, I)| * |I|^s, per sample.
+
+    Each sample is solved for its coordinate c of largest |omega_c|.  A row
+    fixes the other coordinates to K, and I and -I score alike, so K runs
+    over the half ball of dimension n - 1; the row K = 0 scores
+    |omega_c| * min(1, N^(1+s)) in closed form, and is the only row for
+    n = 1.  On row K the dot product omega_c * x + (omega, K) vanishes at
+    the real root r, and an integer x at distance >= t from r scores at
+    least |omega_c| * t * w_min(K), where w_min(K) is the least |I|^s on the
+    row: |K|^s for s >= 0, else (|K|^2 + N^2)^(s/2).  So the two integers
+    around r (clipped to [-N, N]) are scored first, and the pair at
+    distance >= t only while the best score so far exceeds that bound,
+    with a relative slack of 1e-9.  A root within rounding of an integer
+    is safe, because that integer is one of the two.  Since |omega_c| is
+    largest, |r| <= (n - 1) * N.  For s >= 0 the row K = 0 alone scores no
+    more than any pair at distance >= 1, so widening serves s < 0.  The
+    zero sample scores 0.
+    """
+    n = pts.shape[1]
+    rows = list(half_ball(n - 1, N))
+    K = np.array(rows, dtype=float).reshape(len(rows), n - 1)
+    K2 = (K * K).sum(axis=1)
+    wmin = np.sqrt(K2 + (N * N if s < 0 else 0)) ** s
+    row0 = min(1.0, np.float64(N) ** (1 + s))
+    batch = max(1, _BATCH_CELLS // max(1, len(K)))
+
+    def score(x, wc, d):
+        x = np.clip(x, -N, N)
+        return np.abs(wc * x + d) * np.sqrt(x * x + K2) ** s
+
+    c_of = np.abs(pts).argmax(axis=1)
+    stat = np.zeros(len(pts))
+    for c in range(n):
+        idx = np.flatnonzero((c_of == c) & (pts[:, c] != 0))
+        for lo in range(0, len(idx), batch):
+            at = idx[lo : lo + batch]
+            wc = pts[at, c, None]
+            best = np.abs(wc[:, 0]) * row0
+            if len(K):
+                rest = np.delete(pts[at], c, axis=1)
+                d = sum(rest[:, [k]] * K[:, k] for k in range(n - 1))
+                r = np.floor(-d / wc)
+                best = np.minimum(best, np.minimum(score(r, wc, d), score(r + 1, wc, d)).min(axis=1))
+                bound = np.abs(wc) * wmin
+                for t in count(1):
+                    far = (best[:, None] * (1 + 1e-9) > t * bound) & ((r - t >= -N) | (r + 1 + t <= N))
+                    if not far.any():
+                        break
+                    near = np.minimum(score(r - t, wc, d), score(r + 1 + t, wc, d))
+                    best = np.minimum(best, np.where(far, near, np.inf).min(axis=1))
+            stat[at] = best
+    return stat
 
 
 def measure_estimate(
@@ -376,32 +431,32 @@ def measure_estimate(
     with s = n - 1 + nu, and is bad for C when m(omega) < C.  The samples
     are drawn once, by seeded rejection from the bounding cube on the one
     stream ``np.random.default_rng(seed)``, so every C sees the same samples.
+    ``_row_statistic`` scores a few candidates per lattice row, in batches
+    of ``_BATCH_CELLS`` sample-row cells, not the whole ball.
 
     In floats, (omega, I) is off by at most about n^1.5 * 2^-53 * R * N, an
     error that |I|^s multiplies, and the power and the product add about
     (|s| + 3) ulps of relative error; tol = 1e-12 * (R * N * max|I|^s +
-    (1 + |s|) * |C|) bounds both by a wide margin.  A sample with
-    |m(omega) - C| < tol, or with a non-finite m(omega), is rechecked
-    exactly: ``kolmogorov_constant`` of its coordinates (exact binary
-    fractions) gives m(omega)^(2q) for s = p/q, compared with C^(2q).
+    (1 + |s|) * |C|) bounds both by a wide margin, with max|I|^s =
+    (n * N^2)^(s/2) for s >= 0 and 1 for s < 0 (infinite when it overflows).
+    A sample with |m(omega) - C| < tol, or with a non-finite m(omega), is
+    rechecked exactly: ``kolmogorov_constant`` of its coordinates (exact
+    binary fractions) gives m(omega)^(2q) for s = p/q, compared with C^(2q).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     nu = Fraction(nu)
     s = n - 1 + nu
-    lattice = np.array(list(half_ball(n, N)), dtype=float)
-    weights = np.sqrt((lattice**2).sum(axis=1)) ** float(s)
     rng = np.random.default_rng(seed)
     pts = np.empty((0, n))
     while len(pts) < samples:
         cand = rng.uniform(-R, R, size=(max(samples, 1024), n))
         pts = np.vstack([pts, cand[(cand**2).sum(axis=1) <= R * R]])
     pts = pts[:samples]
-    batch = max(1, _BATCH_CELLS // len(lattice))
-    stat = np.concatenate([
-        (np.abs(pts[lo : lo + batch] @ lattice.T) * weights).min(axis=1)
-        for lo in range(0, samples, batch)
-    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        stat = _row_statistic(pts, float(s), N)
+        wmax = np.sqrt(np.float64(n * N * N)) ** float(s) if s >= 0 else 1.0
+        scale = R * N * wmax
 
     @cache
     def exact(i) -> DiophantineEstimate:
@@ -410,7 +465,7 @@ def measure_estimate(
     out = []
     for C in C_values:
         gap = np.abs(stat - C)
-        tol = 1e-12 * (R * N * weights.max() + (1 + abs(float(s))) * abs(C))
+        tol = 1e-12 * (scale + (1 + abs(float(s))) * abs(C))
         narrow = np.flatnonzero(~(gap >= tol))  # NaN gaps too
         bad = stat < C
         bad[narrow] = [C > 0 and exact(i).min_power < Fraction(C) ** exact(i).power for i in narrow]

@@ -8,9 +8,11 @@ silently dropped and accounted in a module-level drop counter.
 
 The bracket and the product group each operand's terms by (t-degree,
 p-degree) on every call.  A pair of groups whose results all fall past Dt
-or Dp is skipped without visiting its term pairs, and the terms it would
-have produced are added to the drop counter in closed form, so the count
-stays exact; only the q-bound is tested term by term.
+or Dp is skipped without visiting its term pairs; only the q-bound is
+tested term by term.  The drop counter gets, in closed form, every term
+the whole operation would produce (|f| * |g| pairs for the product, a
+census of each operand for the bracket) less the terms kept, so the count
+stays exact.
 
 Both kernels work on integers.  Each operand's coefficients are brought
 over one common denominator D (the lcm of their denominators), so a
@@ -238,20 +240,19 @@ class PoissonSeries:
         d = self.context.d or 0
         Df, left = _numerators(self)
         Dg, right = _numerators(other)
-        dropped = 0
+        kept = 0
         acc = {}
         for (k1, p1), A in left.items():
             for (k2, p2), B in right.items():
                 k = k1 + k2
                 if k > Dt or p1 + p2 > Dp:
-                    dropped += len(A) * len(B)
                     continue
                 for I1, J1, a1, b1 in A:
                     for I2, J2, a2, b2 in B:
                         I = tuple(map(add, I1, I2))
                         if min(I) < -Nq or max(I) > Nq:
-                            dropped += 1
                             continue
+                        kept += 1
                         key = (I, tuple(map(add, J1, J2)), k)
                         x = a1 * a2 + d * b1 * b2
                         y = a1 * b2 + a2 * b1
@@ -261,7 +262,7 @@ class PoissonSeries:
                         else:
                             s[0] += x
                             s[1] += y
-        _note_drop(dropped)
+        _note_drop(len(self) * len(other) - kept)
         return self._like(_normalize(acc, Df * Dg, d))
 
     def __rmul__(self, other):
@@ -354,14 +355,14 @@ def _normalize(acc: dict, den: int, d: int) -> dict:
     return {key: _make(A, B, den, d) for key, (A, B) in acc.items() if A or B}
 
 
-def _census(bucket: list, n: int) -> list:
-    """Per coordinate j: the number of zero vectors (I_j, J_j) in the bucket
-    and the count of each primitive direction of the others, up to sign."""
+def _census(f: PoissonSeries) -> list:
+    """Per coordinate j: the number of f's terms whose (I_j, J_j) vector is
+    zero and the count of each primitive direction of the others, up to sign."""
     out = []
-    for j in range(n):
+    for j in range(f.trunc.n):
         zeros = 0
         dirs = {}
-        for I, J, _, _ in bucket:
+        for I, J, _ in f._terms:
             a, b = I[j], J[j]
             if b:
                 g = gcd(a, b)
@@ -376,13 +377,13 @@ def _census(bucket: list, n: int) -> list:
     return out
 
 
-def _bracket_drops(A: list, B: list, census_A: list, census_B: list) -> int:
-    """Terms the bracket of every pair in A x B would produce: one per pair
-    and coordinate j whose (I_j, J_j) vectors are not parallel."""
-    size = len(A) * len(B)
+def _bracket_terms(f: PoissonSeries, g: PoissonSeries) -> int:
+    """Terms the bracket of f and g produces before any window cut: one per
+    pair of terms and coordinate j whose (I_j, J_j) vectors are not parallel."""
+    size = len(f) * len(g)
     out = 0
-    for (zA, dA), (zB, dB) in zip(census_A, census_B):
-        parallel = zA * len(B) + zB * len(A) - zA * zB
+    for (zA, dA), (zB, dB) in zip(_census(f), _census(g)):
+        parallel = zA * len(g) + zB * len(f) - zA * zB
         if len(dA) > len(dB):  # the sum is symmetric: walk the smaller map
             dA, dB = dB, dA
         parallel += sum(m * dB.get(d, 0) for d, m in dA.items())
@@ -398,8 +399,10 @@ def poisson_bracket(f: PoissonSeries, g: PoissonSeries) -> PoissonSeries:
 
     A pair of terms of t-degrees k1, k2 and p-degrees |J1|, |J2| yields
     terms of t-degree k1 + k2 and p-degree |J1| + |J2| - 1, so the pairs
-    of (t, p)-buckets that land outside the window are never visited;
-    their drops are counted in closed form from each bucket's census.
+    of (t, p)-buckets that land outside the window are never visited.
+    Every term a visited pair yields lies inside the t- and p-window, so
+    the drops are the terms of the whole bracket (``_bracket_terms``, from
+    one census per operand) less the terms kept.
 
     A kept pair of terms (a1 + b1*sqrt(d)) / Df and (a2 + b2*sqrt(d)) / Dg
     with weight w adds w*(a1*a2 + d*b1*b2) and w*(a1*b2 + a2*b1) to its
@@ -413,20 +416,12 @@ def poisson_bracket(f: PoissonSeries, g: PoissonSeries) -> PoissonSeries:
     d = f.context.d or 0
     Df, left = _numerators(f)
     Dg, right = _numerators(g)
-    census = {}  # id(bucket) -> its census, computed on first need
-
-    def census_of(bucket):
-        if id(bucket) not in census:
-            census[id(bucket)] = _census(bucket, n)
-        return census[id(bucket)]
-
-    dropped = 0
+    kept = 0
     acc = {}
     for (k1, p1), A in left.items():
         for (k2, p2), B in right.items():
             k = k1 + k2
             if k > Dt or p1 + p2 - 1 > Dp:
-                dropped += _bracket_drops(A, B, census_of(A), census_of(B))
                 continue
             for I1, J1, a1, b1 in A:
                 for I2, J2, a2, b2 in B:
@@ -439,8 +434,8 @@ def poisson_bracket(f: PoissonSeries, g: PoissonSeries) -> PoissonSeries:
                         if not torus:
                             I[j] -= 1
                         if min(I) < -Nq or max(I) > Nq:
-                            dropped += 1
                             continue
+                        kept += 1
                         J = list(map(add, J1, J2))
                         J[j] -= 1
                         key = (tuple(I), tuple(J), k)
@@ -453,7 +448,7 @@ def poisson_bracket(f: PoissonSeries, g: PoissonSeries) -> PoissonSeries:
                         else:
                             s[0] += w * x
                             s[1] += w * y
-    _note_drop(dropped)
+    _note_drop(_bracket_terms(f, g) - kept)
     return f._like(_normalize(acc, Df * Dg, d))
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from kamforge.diophantine import (
     FourierTable,
+    _row_statistic,
     FrequencyVector,
     decay_fit,
     hadamard_apply,
@@ -186,3 +187,66 @@ def test_measure_estimate_rechecks_borderline_sample_exactly():
     assert [e.exact_rechecks for e in ests] == [1, 1, 1]
     assert [e.fraction_bad for e in ests] == expected
     assert expected[0] == 0.0 and expected[-1] == 1.0
+
+
+def _dense_statistic(pts, s, N):
+    """m(omega) by brute force over the whole cube 0 < |I|_sup <= N."""
+    cube = np.array([I for I in product(range(-N, N + 1), repeat=pts.shape[1]) if any(I)], dtype=float)
+    return (np.abs(pts @ cube.T) * np.sqrt((cube**2).sum(axis=1)) ** s).min(axis=1)
+
+
+@pytest.mark.parametrize("n, N", [(1, 7), (2, 2), (2, 6), (3, 3)])
+@pytest.mark.parametrize("s", [-5.0, -0.5, 0.0, 0.5, 2.0])
+@pytest.mark.parametrize("R", [0.5, 3.0])
+def test_row_statistic_matches_dense_cube(n, N, s, R):
+    rng = np.random.default_rng(10 * n + N)
+    cand = rng.uniform(-R, R, size=(600, n))
+    pts = [cand, np.zeros((1, n)), 0.7 * R * np.eye(n)]  # the zero sample, axis-aligned samples
+    if n > 1:
+        tie = np.full(n, 0.2 * R)
+        tie[:2] = 0.6 * R
+        flip = tie.copy()
+        flip[1] *= -1  # |omega_1| = |omega_2| largest, either sign
+        gap = cand[:50].copy()
+        gap[:, -1] = 0.0  # a zero coordinate
+        pts += [tie[None], flip[None], gap]
+    pts = np.vstack(pts)
+    # both sides round (omega, I) differently; this bounds the difference
+    atol = 1e-12 * R * N * (n * N * N) ** max(s, 0.0)
+    np.testing.assert_allclose(_row_statistic(pts, s, N), _dense_statistic(pts, s, N), rtol=1e-12, atol=atol)
+
+
+def test_row_statistic_widens_rows_for_negative_s():
+    # c = 2nd coordinate; on row K = -2 the root is -0.31, yet x = -2 beats
+    # both integers around it, and the rows K = 0, +-1 score higher
+    omega = np.array([[-0.15, 0.97]])
+    s, N = -5.0, 2
+    values = {
+        x: abs(0.97 * x - 0.15 * -2) * (x * x + 4) ** (s / 2) for x in range(-N, N + 1)
+    }
+    assert min(values, key=values.get) == -2
+    dense = _dense_statistic(omega, s, N)
+    assert dense[0] == pytest.approx(values[-2], rel=1e-12)
+    np.testing.assert_allclose(_row_statistic(omega, s, N), dense, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "seed, samples, n_bad",
+    [
+        (1, 4000, [1642, 903, 473]),
+        (2, 4000, [1616, 884, 468]),
+        (3, 4000, [1630, 875, 462]),
+        (7, 100_000, [40424, 21879, 11384]),  # criterion 10
+    ],
+)
+def test_measure_estimate_pinned_bad_counts(seed, samples, n_bad):
+    # the benchmark's measure shape; counts taken with the dense half-ball product
+    ests = measure_estimate(n=2, R=1.0, C_values=[0.1, 0.05, 0.025], nu=1, N=50, samples=samples, seed=seed)
+    assert [round(e.fraction_bad * samples) for e in ests] == n_bad
+
+
+def test_measure_estimate_large_nu_is_silent(recwarn):
+    # max|I|^s overflows, so tol is infinite and every sample is rechecked exactly
+    [est] = measure_estimate(n=2, R=1.0, C_values=[0.1], nu=1000, N=3, samples=20, seed=1)
+    assert (est.fraction_bad, est.exact_rechecks) == (0.5, 20)
+    assert [str(w.message) for w in recwarn] == []
