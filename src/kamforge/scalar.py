@@ -451,8 +451,13 @@ def certified_root(power_value, power: int) -> CertifiedDecimal:
 
 def format_literal(ctx: ScalarContext, x):
     q = ctx.coerce(x)
-    a = _ratlit(q.a, q.den)
-    return a if ctx.mode == "rational" else [a, _ratlit(q.b, q.den), q.d]
+    return literal_of(ctx, q.a, q.b, q.den)
+
+
+def literal_of(ctx: ScalarContext, a: int, b: int, den: int):
+    """The literal of (a + b*sqrt(d)) / den in ``ctx``, for den > 0."""
+    num = _ratlit(a, den)
+    return num if ctx.mode == "rational" else [num, _ratlit(b, den), ctx.d]
 
 
 def parse_literal(ctx: ScalarContext, obj):

@@ -1,26 +1,42 @@
 """Truncated Poisson-series algebra on the algebraic torus.
 
-Elements live in K[q, q^-1][[p, t]], stored sparsely as a map from term
-keys ``(I, J, k)`` (Laurent exponents of q, powers of p, power of t) to
-exact scalars.  A :class:`TruncationSpec` fixes the finite window within
-which every operation is exact: terms produced outside the window are
-silently dropped and accounted in a module-level drop counter.
+Elements live in K[q, q^-1][[p, t]]: finite sums of terms c q^I p^J t^k
+with Laurent exponents I of q, powers J of p and a power k of t.  A
+:class:`TruncationSpec` fixes the finite window within which every
+operation is exact: terms produced outside the window are silently
+dropped and accounted in a module-level drop counter.
 
-The bracket and the product group each operand's terms by (t-degree,
-p-degree) on every call.  A pair of groups whose results all fall past Dt
-or Dp is skipped without visiting its term pairs; only the q-bound is
-tested term by term.  The drop counter gets, in closed form, every term
-the whole operation would produce (|f| * |g| pairs for the product, a
-census of each operand for the bracket) less the terms kept, so the count
-stays exact.
+Storage.  A series keeps one positive integer denominator D and a map
+from packed keys to integer pairs (a, b); the coefficient of a term is
+(a + b*sqrt(d)) / D, with b = 0 in the rational context.  Every operation
+ends by dividing out the gcd of D and all numerators, and no pair is
+(0, 0).  This form is canonical: equal series have equal storage, so
+``==`` compares it directly, and each coefficient is the lowest-terms
+value over the least common denominator.  :class:`QuadScalar` values
+appear only at the edge (the term-dict constructor, ``coefficient``,
+``items``, JSON and ``str``); the bracket, the product, sums, scaling and
+both flows run on the integers.
 
-Both kernels work on integers.  Each operand's coefficients are brought
-over one common denominator D (the lcm of their denominators), so a
-coefficient is (a + b*sqrt(d)) / D with integer a and b.  Every kept term
-pair adds a plain integer pair to its output key, and each output term is
-reduced to lowest terms once, at the end, over the denominator Df * Dg.
-A key whose sum cancels is left out, so a result may list its keys in
-another order than a term-by-term sum would; the series is the same.
+Key packing.  A key (I, J, k) is packed into one int (Kronecker
+substitution): 2n + 1 fields of w bits, I_1 .. I_n from the top, then
+J_1 .. J_n, then k in the lowest field, so that integer order is the
+order of (I, J, k).  An I field holds I_j + 2Nq + 1 and J and k fields
+hold their values; w leaves one spare top bit in every I field.  The key
+of a product term is then P1 + P2 - base, and of a bracket term the same
+less the unit of J_j (and, in symplectic mode, of I_j).  The q-window
+test reads every I field at once from the spare bits after adding two
+constants.  A series decodes its keys at most once: its terms grouped by
+(t-degree, p-degree) are built on first use and kept with it, as is the
+census the bracket's drop count needs.
+
+The bracket and the product work group by group.  A pair of groups whose
+results all fall past Dt or Dp is skipped without visiting its term
+pairs; only the q-bound is tested term by term.  The drop counter gets,
+in closed form, every term the whole operation would produce (|f| * |g|
+pairs for the product, a census of each operand for the bracket) less
+the terms kept, so the count stays exact.  Every kept term pair adds a
+plain integer pair to its output key over the denominator Df * Dg, and
+the result is reduced once.
 
 The bracket convention is fixed once and for all:
 
@@ -32,13 +48,14 @@ and flows exponentiate ``ad_S(f) = {f, S}``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb, gcd, lcm
-from operator import add
 
-from .errors import ContextMismatch, GeneratorOrderViolation, InvalidInput
-from .scalar import ScalarContext, _make, format_literal, parse_literal
+from .errors import ContextMismatch, DivisionByZero, GeneratorOrderViolation, InvalidInput
+from .scalar import ScalarContext, _make, format_literal, literal_of, parse_literal
 
 __all__ = [
     "TruncationSpec",
@@ -73,6 +90,53 @@ def _note_drop(n: int = 1) -> None:
     _dropped += n
 
 
+class _Keys(dict):
+    """The packing of (I, J, k) keys for one truncation window.
+
+    As a dict it maps a packed key to (I, J, k, |J|, dirs), decoded on
+    first lookup; ``dirs[j]`` is the primitive direction of the vector
+    (I_j, J_j), with J_j > 0 or (1, 0) fixing its sign, or None for the
+    zero vector.
+    """
+
+    def __init__(self, n: int, Dp: int, Dt: int, Nq: int):
+        super().__init__()
+        off = 2 * Nq + 1
+        # an I field of a sum of two keys ranges over [0, 4Nq + 1], below the spare bit
+        w = max((4 * Nq + 1).bit_length() + 1, Dp.bit_length(), Dt.bit_length())
+        half = 1 << (w - 1)
+        self.n, self.w, self.off = n, w, off
+        self.eI = [1 << (w * (2 * n - j)) for j in range(n)]
+        self.eJ = [1 << (w * (n - j)) for j in range(n)]
+        self.base = off * sum(self.eI)
+        # (P + lo) has every spare bit set iff each I field >= off - Nq, and
+        # (P + hi) has none set iff each I field <= off + Nq
+        self.guard = half * sum(self.eI)
+        self.lo = (half - (off - Nq)) * sum(self.eI)
+        self.hi = (half - 1 - (off + Nq)) * sum(self.eI)
+
+    def pack(self, I, J, k) -> int:
+        P = k
+        for j in range(self.n):
+            P += (I[j] + self.off) * self.eI[j] + J[j] * self.eJ[j]
+        return P
+
+    def __missing__(self, P: int) -> tuple:
+        w, mask, n = self.w, (1 << self.w) - 1, self.n
+        fields = [(P >> (w * i)) & mask for i in range(2 * n + 1)]
+        J = tuple(fields[n:0:-1])
+        I = tuple(x - self.off for x in fields[:n:-1])
+        dirs = []
+        for a, b in zip(I, J):
+            if b:
+                g = gcd(a, b)
+                dirs.append((a // g, b // g))
+            else:
+                dirs.append((1, 0) if a else None)
+        out = self[P] = (I, J, fields[0], sum(J), tuple(dirs))
+        return out
+
+
 @dataclass(frozen=True)
 class TruncationSpec:
     """Hard sparse cutoff: max total p-degree, max t-degree, max |I|_sup."""
@@ -87,6 +151,7 @@ class TruncationSpec:
             raise ValueError("dimension n must be >= 1")
         if min(self.Dp, self.Dt, self.Nq) < 0:
             raise ValueError("truncation bounds must be >= 0")
+        object.__setattr__(self, "_keys", _Keys(self.n, self.Dp, self.Dt, self.Nq))
 
     def admits(self, I, J, k) -> bool:
         return (
@@ -103,6 +168,16 @@ class TruncationSpec:
         return cls(n=obj["n"], Dp=obj["Dp"], Dt=obj["Dt"], Nq=obj["Nq"])
 
 
+def _scalar_parts(context: ScalarContext, x) -> tuple[int, int, int]:
+    """(a, b, den) with x = (a + b*sqrt(d)) / den in ``context``."""
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    q = context.coerce(x)
+    return q.a, q.b, q.den
+
+
 class PoissonSeries:
     """A sparse truncated element of K[q, q^-1][[p, t]].
 
@@ -110,7 +185,7 @@ class PoissonSeries:
     combine only if context, truncation and bracket mode all agree.
     """
 
-    __slots__ = ("context", "trunc", "mode", "_terms")
+    __slots__ = ("context", "trunc", "mode", "_den", "_num", "_graded", "_census")
 
     def __init__(self, context: ScalarContext, trunc: TruncationSpec, mode: str, terms=None):
         if mode not in _MODES:
@@ -134,25 +209,67 @@ class PoissonSeries:
                         clean[(I, J, k)] = c
                     else:
                         clean.pop((I, J, k), None)
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "_terms", clean)
+        # over the lcm of the lowest-terms denominators the storage is canonical
+        D = lcm(*(c.den for c in clean.values()))
+        pack = trunc._keys.pack
+        num = {pack(*key): (c.a * (D // c.den), c.b * (D // c.den)) for key, c in clean.items()}
+        self._init(context, trunc, mode, D, num)
+
+    def _init(self, context, trunc, mode, D, num):
+        set_ = object.__setattr__
+        set_(self, "context", context)
+        set_(self, "trunc", trunc)
+        set_(self, "mode", mode)
+        set_(self, "_den", D)
+        set_(self, "_num", num)
+        set_(self, "_graded", None)
+        set_(self, "_census", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PoissonSeries is immutable")
 
-    @classmethod
-    def _raw(cls, context, trunc, mode, terms: dict) -> "PoissonSeries":
-        out = object.__new__(cls)
-        object.__setattr__(out, "context", context)
-        object.__setattr__(out, "trunc", trunc)
-        object.__setattr__(out, "mode", mode)
-        object.__setattr__(out, "_terms", terms)
+    def _raw(self, D: int, num: dict) -> "PoissonSeries":
+        """A series like self with the canonical storage (D, num)."""
+        out = object.__new__(PoissonSeries)
+        out._init(self.context, self.trunc, self.mode, D, num)
         return out
 
-    def _like(self, terms: dict) -> "PoissonSeries":
-        return PoissonSeries._raw(self.context, self.trunc, self.mode, terms)
+    def _reduced(self, D: int, num: dict) -> "PoissonSeries":
+        """A series like self from (D, num) without (0, 0) pairs: divides
+        out the gcd of D and every numerator."""
+        g = gcd(D, *chain.from_iterable(num.values()))
+        if g > 1:
+            D //= g
+            num = {P: (a // g, b // g) for P, (a, b) in num.items()}
+        return self._raw(D, num)
+
+    def _like(self, terms) -> "PoissonSeries":
+        """A series like self with the given {(I, J, k): scalar} terms."""
+        return PoissonSeries(self.context, self.trunc, self.mode, terms)
+
+    def _grades(self) -> dict:
+        """The terms as (P, I, J, a, b) lists keyed by (t-degree, p-degree),
+        built on first use."""
+        out = self._graded
+        if out is None:
+            out = {}
+            decoded = self.trunc._keys
+            for P, (a, b) in self._num.items():
+                I, J, k, p, _ = decoded[P]
+                group = out.get((k, p))
+                if group is None:
+                    out[(k, p)] = [(P, I, J, a, b)]
+                else:
+                    group.append((P, I, J, a, b))
+            object.__setattr__(self, "_graded", out)
+        return out
+
+    def _terms(self):
+        """(P, I, J, k, a, b) of every term, in storage order."""
+        decoded = self.trunc._keys
+        for P, (a, b) in self._num.items():
+            I, J, k, _, _ = decoded[P]
+            yield P, I, J, k, a, b
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -167,33 +284,65 @@ class PoissonSeries:
         return cls(context, trunc, mode, {(I, J, k): coeff})
 
     # -- inspection -----------------------------------------------------
-    def items(self):
-        return self._terms.items()
+    def _scalar(self, a: int, b: int):
+        return _make(a, b, self._den, self.context.d or 0)
+
+    def items(self) -> list:
+        """The terms as ((I, J, k), scalar) pairs."""
+        return [((I, J, k), self._scalar(a, b)) for _, I, J, k, a, b in self._terms()]
 
     def __len__(self):
-        return len(self._terms)
+        return len(self._num)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def coefficient(self, I, J=None, k=0):
-        n = self.trunc.n
+        trunc = self.trunc
         I = tuple(I)
-        J = tuple(J) if J is not None else (0,) * n
-        return self._terms.get((I, J, k), self.context.zero)
+        J = tuple(J) if J is not None else (0,) * trunc.n
+        valid = len(I) == len(J) == trunc.n and min(J) >= 0 and k >= 0
+        if valid and trunc.admits(I, J, k):
+            pair = self._num.get(trunc._keys.pack(I, J, k))
+            if pair is not None:
+                return self._scalar(*pair)
+        return self.context.zero
 
     def min_t_degree(self):
         """Smallest t-exponent present, or None for the zero series."""
-        if not self._terms:
-            return None
-        return min(k for (_, _, k) in self._terms)
+        return min((k for k, _ in self._grades()), default=None)
 
     def support_I(self):
-        return {I for (I, _, _) in self._terms}
+        return {I for _, I, _, _, _, _ in self._terms()}
 
     def select(self, pred) -> "PoissonSeries":
         """Sub-series of the terms whose key satisfies ``pred(I, J, k)``."""
-        return self._like({key: c for key, c in self._terms.items() if pred(*key)})
+        num = {P: (a, b) for P, I, J, k, a, b in self._terms() if pred(I, J, k)}
+        return self._reduced(self._den, num)
+
+    def divided(self, divisor) -> "PoissonSeries":
+        """Sub-series of the terms whose key has a divisor, each term
+        divided by it: ``divisor(I, J, k)`` is a nonzero scalar or None."""
+        d = self.context.d or 0
+        parts = []
+        for P, I, J, k, a, b in self._terms():
+            s = divisor(I, J, k)
+            if s is None:
+                continue
+            # s = (sa + sb sqrt(d)) / e, and c / s = (x + y sqrt(d)) / (D N)
+            sa, sb, e = _scalar_parts(self.context, s)
+            if sb:  # times the conjugate over the norm N
+                x, y, N = (a * sa - d * b * sb) * e, (b * sa - a * sb) * e, sa * sa - d * sb * sb
+            else:
+                x, y, N = a * e, b * e, sa
+            if N == 0:
+                raise DivisionByZero("division of a series term by zero")
+            if N < 0:
+                x, y, N = -x, -y, -N
+            parts.append((P, x, y, N))
+        L = lcm(*(N for _, _, _, N in parts))
+        num = {P: (x * (L // N), y * (L // N)) for P, x, y, N in parts}
+        return self._reduced(self._den * L, num)
 
     def t_part(self, k0: int) -> "PoissonSeries":
         return self.select(lambda I, J, k: k == k0)
@@ -213,15 +362,24 @@ class PoissonSeries:
         if not isinstance(other, PoissonSeries):
             return NotImplemented
         self._check(other)
-        terms = dict(self._terms)
-        for key, c in other._terms.items():
-            s = terms.get(key)
-            s = c if s is None else s + c
-            if s:
-                terms[key] = s
+        D1, D2 = self._den, other._den
+        D = lcm(D1, D2)
+        m1, m2 = D // D1, D // D2
+        if m1 == 1:
+            num = dict(self._num)
+        else:
+            num = {P: (a * m1, b * m1) for P, (a, b) in self._num.items()}
+        for P, (a, b) in other._num.items():
+            s = num.get(P)
+            if s is None:
+                num[P] = (a * m2, b * m2)
             else:
-                terms.pop(key, None)
-        return self._like(terms)
+                a, b = s[0] + a * m2, s[1] + b * m2
+                if a or b:
+                    num[P] = (a, b)
+                else:
+                    del num[P]
+        return self._reduced(D, num)
 
     def __sub__(self, other):
         if not isinstance(other, PoissonSeries):
@@ -229,41 +387,36 @@ class PoissonSeries:
         return self + (-other)
 
     def __neg__(self):
-        return self._like({key: -c for key, c in self._terms.items()})
+        return self._raw(self._den, {P: (-a, -b) for P, (a, b) in self._num.items()})
 
     def __mul__(self, other):
         if not isinstance(other, PoissonSeries):
             return self.scale(other)
         self._check(other)
         trunc = self.trunc
-        Dt, Dp, Nq = trunc.Dt, trunc.Dp, trunc.Nq
+        keys = trunc._keys
+        Dt, Dp = trunc.Dt, trunc.Dp
+        base, lo, hi, guard = keys.base, keys.lo, keys.hi, keys.guard
         d = self.context.d or 0
-        Df, left = _numerators(self)
-        Dg, right = _numerators(other)
         kept = 0
-        acc = {}
-        for (k1, p1), A in left.items():
-            for (k2, p2), B in right.items():
-                k = k1 + k2
-                if k > Dt or p1 + p2 > Dp:
+        A, B = {}, {}
+        for (k1, p1), F in self._grades().items():
+            for (k2, p2), G in other._grades().items():
+                if k1 + k2 > Dt or p1 + p2 > Dp:
                     continue
-                for I1, J1, a1, b1 in A:
-                    for I2, J2, a2, b2 in B:
-                        I = tuple(map(add, I1, I2))
-                        if min(I) < -Nq or max(I) > Nq:
+                for P1, _, _, a1, b1 in F:
+                    for P2, _, _, a2, b2 in G:
+                        P = P1 + P2 - base
+                        if (P + lo) & guard != guard or (P + hi) & guard:
                             continue
                         kept += 1
-                        key = (I, tuple(map(add, J1, J2)), k)
-                        x = a1 * a2 + d * b1 * b2
-                        y = a1 * b2 + a2 * b1
-                        s = acc.get(key)
-                        if s is None:
-                            acc[key] = [x, y]
+                        if d:
+                            A[P] = A.get(P, 0) + a1 * a2 + d * b1 * b2
+                            B[P] = B.get(P, 0) + a1 * b2 + a2 * b1
                         else:
-                            s[0] += x
-                            s[1] += y
+                            A[P] = A.get(P, 0) + a1 * a2
         _note_drop(len(self) * len(other) - kept)
-        return self._like(_normalize(acc, Df * Dg, d))
+        return _collect(self, self._den * other._den, A, B)
 
     def __rmul__(self, other):
         if isinstance(other, PoissonSeries):
@@ -271,10 +424,14 @@ class PoissonSeries:
         return self.scale(other)
 
     def scale(self, scalar) -> "PoissonSeries":
-        c0 = self.context.coerce(scalar)
-        if not c0:
-            return self._like({})
-        return self._like({key: c * c0 for key, c in self._terms.items()})
+        a0, b0, e = _scalar_parts(self.context, scalar)
+        if not (a0 or b0):
+            return self._raw(1, {})
+        num = self._num
+        if (a0, b0) != (1, 0):  # 1/e, as in the Lie series, only moves the denominator
+            d = self.context.d or 0
+            num = {P: (a * a0 + d * b * b0, a * b0 + b * a0) for P, (a, b) in num.items()}
+        return self._reduced(self._den * e, num)
 
     def __eq__(self, other):
         if not isinstance(other, PoissonSeries):
@@ -283,16 +440,25 @@ class PoissonSeries:
             self.context == other.context
             and self.trunc == other.trunc
             and self.mode == other.mode
-            and self._terms == other._terms
+            and self._den == other._den
+            and self._num == other._num
         )
 
     __hash__ = None
 
     # -- serialization ----------------------------------------------------
+    def _sorted_terms(self):
+        """(I, J, k, a, b) in the order of the keys (I, J, k)."""
+        decoded, num = self.trunc._keys, self._num
+        for P in sorted(num):
+            I, J, k, _, _ = decoded[P]
+            yield I, J, k, *num[P]
+
     def to_json(self) -> dict:
+        ctx, D = self.context, self._den
         terms = [
-            [list(I), list(J), k, format_literal(self.context, c)]
-            for (I, J, k), c in sorted(self._terms.items())
+            [list(I), list(J), k, literal_of(ctx, a, b, D)]
+            for I, J, k, a, b in self._sorted_terms()
         ]
         return {
             "n": self.trunc.n,
@@ -314,16 +480,16 @@ class PoissonSeries:
 
     def __repr__(self):
         return (
-            f"PoissonSeries(mode={self.mode!r}, {len(self._terms)} terms, "
+            f"PoissonSeries(mode={self.mode!r}, {len(self._num)} terms, "
             f"trunc={self.trunc})"
         )
 
     def __str__(self):
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
-        for (I, J, k), c in sorted(self._terms.items()):
-            factors = [f"({c})"]
+        for I, J, k, a, b in self._sorted_terms():
+            factors = [f"({self._scalar(a, b)})"]
             for j, e in enumerate(I):
                 if e:
                     factors.append(f"q{j + 1}^{e}")
@@ -336,44 +502,29 @@ class PoissonSeries:
         return " + ".join(parts)
 
 
-def _numerators(f: PoissonSeries) -> tuple[int, dict]:
-    """A common denominator D of f's coefficients, and f's terms as
-    (I, J, a, b) lists keyed by (t-degree, p-degree), where each
-    coefficient is (a + b*sqrt(d)) / D."""
-    terms = f._terms
-    D = lcm(*(c.den for c in terms.values()))
-    buckets = {}
-    for (I, J, k), c in terms.items():
-        m = D // c.den
-        buckets.setdefault((k, sum(J)), []).append((I, J, c.a * m, c.b * m))
-    return D, buckets
+def _collect(like: PoissonSeries, D: int, A: dict, B: dict) -> PoissonSeries:
+    """The series (A[P] + B[P]*sqrt(d)) / D over the keys of A, without the
+    keys whose sums cancelled; B is empty in the rational context."""
+    g = gcd(D, *A.values(), *B.values())
+    if B:
+        num = {P: (a // g, B[P] // g) for P, a in A.items() if a or B[P]}
+    else:
+        num = {P: (a // g, 0) for P, a in A.items() if a}
+    return like._raw(D // g, num)
 
 
-def _normalize(acc: dict, den: int, d: int) -> dict:
-    """The integer pairs (A, B) of acc as scalars (A + B*sqrt(d)) / den,
-    without the keys whose sum cancelled."""
-    return {key: _make(A, B, den, d) for key, (A, B) in acc.items() if A or B}
-
-
-def _census(f: PoissonSeries) -> list:
+def _census_of(f: PoissonSeries) -> list:
     """Per coordinate j: the number of f's terms whose (I_j, J_j) vector is
-    zero and the count of each primitive direction of the others, up to sign."""
-    out = []
-    for j in range(f.trunc.n):
-        zeros = 0
-        dirs = {}
-        for I, J, _ in f._terms:
-            a, b = I[j], J[j]
-            if b:
-                g = gcd(a, b)
-                d = (a // g, b // g)  # J_j > 0 fixes the sign
-            elif a:
-                d = (1, 0)
-            else:
-                zeros += 1
-                continue
-            dirs[d] = dirs.get(d, 0) + 1
-        out.append((zeros, dirs))
+    zero and the count of each primitive direction of the others, up to
+    sign; built on first use and kept with f."""
+    out = f._census
+    if out is None:
+        decoded = f.trunc._keys
+        out = [(0, {})] * f.trunc.n
+        if f._num:
+            columns = zip(*(decoded[P][4] for P in f._num))
+            out = [(c.pop(None, 0), c) for c in map(Counter, columns)]
+        object.__setattr__(f, "_census", out)
     return out
 
 
@@ -382,7 +533,7 @@ def _bracket_terms(f: PoissonSeries, g: PoissonSeries) -> int:
     pair of terms and coordinate j whose (I_j, J_j) vectors are not parallel."""
     size = len(f) * len(g)
     out = 0
-    for (zA, dA), (zB, dB) in zip(_census(f), _census(g)):
+    for (zA, dA), (zB, dB) in zip(_census_of(f), _census_of(g)):
         parallel = zA * len(g) + zB * len(f) - zA * zB
         if len(dA) > len(dB):  # the sum is symmetric: walk the smaller map
             dA, dB = dB, dA
@@ -399,57 +550,54 @@ def poisson_bracket(f: PoissonSeries, g: PoissonSeries) -> PoissonSeries:
 
     A pair of terms of t-degrees k1, k2 and p-degrees |J1|, |J2| yields
     terms of t-degree k1 + k2 and p-degree |J1| + |J2| - 1, so the pairs
-    of (t, p)-buckets that land outside the window are never visited.
+    of (t, p)-groups that land outside the window are never visited.
     Every term a visited pair yields lies inside the t- and p-window, so
     the drops are the terms of the whole bracket (``_bracket_terms``, from
-    one census per operand) less the terms kept.
+    the census kept with each operand) less the terms kept.
 
     A kept pair of terms (a1 + b1*sqrt(d)) / Df and (a2 + b2*sqrt(d)) / Dg
     with weight w adds w*(a1*a2 + d*b1*b2) and w*(a1*b2 + a2*b1) to its
-    output key (see the module docstring for the denominators and the
-    key order).
+    output key, over the denominator Df * Dg.
     """
     f._check(g)
     trunc = f.trunc
-    n, Dt, Dp, Nq = trunc.n, trunc.Dt, trunc.Dp, trunc.Nq
-    torus = f.mode == "torus"
+    keys = trunc._keys
+    Dt, Dp = trunc.Dt, trunc.Dp
+    lo, hi, guard = keys.lo, keys.hi, keys.guard
+    coords = range(trunc.n)
+    # the key of the j-th term of a pair is P1 + P2 - lower[j]
+    symplectic = f.mode != "torus"
+    lower = [keys.base + keys.eJ[j] + symplectic * keys.eI[j] for j in coords]
     d = f.context.d or 0
-    Df, left = _numerators(f)
-    Dg, right = _numerators(g)
     kept = 0
-    acc = {}
-    for (k1, p1), A in left.items():
-        for (k2, p2), B in right.items():
-            k = k1 + k2
-            if k > Dt or p1 + p2 - 1 > Dp:
+    A, B = {}, {}
+    get = A.get
+    for (k1, p1), F in f._grades().items():
+        for (k2, p2), G in g._grades().items():
+            if k1 + k2 > Dt or p1 + p2 - 1 > Dp:
                 continue
-            for I1, J1, a1, b1 in A:
-                for I2, J2, a2, b2 in B:
+            for P1, I1, J1, a1, b1 in F:
+                for P2, I2, J2, a2, b2 in G:
                     x = None
-                    for j in range(n):
+                    S = P1 + P2
+                    for j in coords:
                         w = J1[j] * I2[j] - I1[j] * J2[j]
                         if not w:
                             continue
-                        I = list(map(add, I1, I2))
-                        if not torus:
-                            I[j] -= 1
-                        if min(I) < -Nq or max(I) > Nq:
+                        P = S - lower[j]
+                        if (P + lo) & guard != guard or (P + hi) & guard:
                             continue
                         kept += 1
-                        J = list(map(add, J1, J2))
-                        J[j] -= 1
-                        key = (tuple(I), tuple(J), k)
+                        if not d:
+                            A[P] = get(P, 0) + w * a1 * a2
+                            continue
                         if x is None:
                             x = a1 * a2 + d * b1 * b2
                             y = a1 * b2 + a2 * b1
-                        s = acc.get(key)
-                        if s is None:
-                            acc[key] = [w * x, w * y]
-                        else:
-                            s[0] += w * x
-                            s[1] += w * y
+                        A[P] = get(P, 0) + w * x
+                        B[P] = B.get(P, 0) + w * y
     _note_drop(_bracket_terms(f, g) - kept)
-    return f._like(_normalize(acc, Df * Dg, d))
+    return _collect(f, f._den * g._den, A, B)
 
 
 def average(f: PoissonSeries) -> PoissonSeries:
@@ -524,40 +672,57 @@ def _apply_hamiltonian_flow(S: PoissonSeries, f: PoissonSeries) -> PoissonSeries
 
 
 def _apply_translation_flow(order: int, shift, f: PoissonSeries) -> PoissonSeries:
+    """p_j -> p_j + d_j t^order on integers: with d_j = (e_j + f_j sqrt(d)) / E
+    and at most M = Dt // order shifts surviving the t-cut, a term's image
+    with s shifts is put over D * E^M by the factor E^(M - s)."""
     trunc = f.trunc
-    n = trunc.n
+    n, Dt = trunc.n, trunc.Dt
     if len(shift) != n:
         raise ValueError(f"translation shift has length {len(shift)}, expected {n}")
-    one = f.context.one
-    acc = {}
-    for (I, J, k), c in f._terms.items():
-        partial = [(tuple(), k, c)]
+    d = f.context.d or 0
+    eJ = trunc._keys.eJ
+    parts = [_scalar_parts(f.context, x) for x in shift]
+    E = lcm(*(e for _, _, e in parts))
+    delta = [(a * (E // e), b * (E // e)) for a, b, e in parts]
+    M = Dt // order
+    Epow = [E ** (M - s) for s in range(M + 1)]
+    drops = 0
+    num = {}
+    for P, _, J, k, a, b in f._terms():
+        # (key, t-degree, shifts, numerator pair) of the partial images
+        partial = [(P, k, 0, a, b)]
         for j in range(n):
-            dj = shift[j]
+            ex, ey = delta[j]
             Jj = J[j]
-            if not dj or Jj == 0:
-                partial = [(Jp + (Jj,), kk, cc) for (Jp, kk, cc) in partial]
+            if not (ex or ey) or Jj == 0:
                 continue
             nxt = []
-            for (Jp, kk, cc) in partial:
-                dpow = one
+            for Pp, kk, s, x, y in partial:
+                px, py = 1, 0  # (E d_j)^m
                 for m in range(Jj + 1):
                     kk2 = kk + order * m
-                    if kk2 > trunc.Dt:
-                        _note_drop()
+                    if kk2 > Dt:
+                        drops += 1
                     else:
-                        nxt.append((Jp + (Jj - m,), kk2, cc * comb(Jj, m) * dpow))
-                    dpow = dpow * dj
+                        c = comb(Jj, m)
+                        nxt.append((
+                            Pp - m * eJ[j] + order * m, kk2, s + m,
+                            c * (x * px + d * y * py), c * (x * py + y * px),
+                        ))
+                    px, py = px * ex + d * py * ey, px * ey + py * ex
             partial = nxt
-        for (Jnew, kk, cc) in partial:
-            key = (I, Jnew, kk)
-            s = acc.get(key)
-            s = cc if s is None else s + cc
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-    return f._like(acc)
+        for Pp, _, s, x, y in partial:
+            e = Epow[s]
+            x, y = x * e, y * e
+            prev = num.get(Pp)
+            if prev is not None:
+                x, y = prev[0] + x, prev[1] + y
+            if x or y:
+                num[Pp] = (x, y)
+            elif prev is not None:
+                del num[Pp]
+    _note_drop(drops)
+    return f._reduced(f._den * E**M, num)
 
 
 def flow_apply(gen: Generator, f: PoissonSeries) -> PoissonSeries:
@@ -575,7 +740,12 @@ def flow_apply(gen: Generator, f: PoissonSeries) -> PoissonSeries:
 
 
 def compose_flows(gens, f: PoissonSeries) -> PoissonSeries:
-    """Left-to-right application of flows; the oracle for normal forms."""
+    """Left-to-right application of flows.
+
+    A normal form's generators replayed on its input give its ``normal``
+    series again; that replays the driver's own ``flow_apply`` calls, so
+    it checks the bookkeeping, not the normal form.
+    """
     out = f
     for gen in gens:
         out = flow_apply(gen, out)

@@ -264,6 +264,22 @@ def test_invalid_scalar_input_is_report_not_crash(tmp_path, case):
         assert report["scenario"] is None
 
 
+def test_hadamard_overflow_is_a_silent_report(tmp_path):
+    # exp(1000 |I|) overflows: the report names the non-finite fit, and
+    # numpy's overflow warning does not reach stderr
+    scen = write(tmp_path, "s.json", BAD_INPUT["hadamard-nan-fit"])
+    out = tmp_path / "r.json"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "kamforge.cli", "run", scen, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert json.loads(out.read_text())["error"]["type"] == "NonFiniteResult"
+
+
 def test_failing_selftest_exits_nonzero_on_run(tmp_path, monkeypatch):
     def failing(seed=0):
         return {"kind": "selftest", "seed": seed, "properties": {}, "all_pass": False}
