@@ -117,10 +117,13 @@ def kolmogorov_constant(omega: FrequencyVector, nu, N: int) -> DiophantineEstima
     """Exact minimization of |(omega, I)| * |I|^(n-1+nu) over 0 < |I|_sup <= N.
 
     All comparisons happen on the (2q)-th power of the quantity (s = p/q),
-    so they are exact rational / quadratic-field sign tests.  For n = 2 a
-    pruned sweep over the second coordinate brings the cost down to O(N);
-    other dimensions walk the half ball (``half_ball``), since I and -I
-    give the same quantity.
+    so they are exact rational / quadratic-field sign tests.  For n = 2 and
+    s >= 0, ``_scan_dim2`` sweeps the rows I2 and skips every block of rows
+    that a best-approximation bound rules out; its cost is the number of
+    convergents of omega_2 / omega_1 with denominator up to N plus the rows
+    it scans.  Other cases walk the half ball (``half_ball``), since I and
+    -I give the same quantity.  ``worst`` is the first of equal minima in
+    visiting order.
     """
     if N < 1:
         raise ValueError("lattice cutoff N must be >= 1")
@@ -165,16 +168,54 @@ def kolmogorov_constant(omega: FrequencyVector, nu, N: int) -> DiophantineEstima
     )
 
 
-def _scan_dim2(omega, N, p_, q_, consider, best) -> bool:
-    """Pruned exact sweep for n = 2.
+def _convergents(alpha):
+    """Convergents (p_k, q_k), k = 0, 1, ..., of the regular continued fraction of alpha.
 
-    For fixed I2, any integer I1 at distance >= r from the real minimizer
-    of |(omega, I)| satisfies
-        quantity >= |omega_1| * r * |I2|^s,
-    so only a short interval of candidates around the minimizer can beat
-    the current best.  Only rows I2 > 0 are swept: row -I2 holds the
+    ``alpha`` is an exact real of any sign: a_0 = floor(alpha), and each
+    complete quotient is inverted exactly.  q_0 = 1 <= q_1 < q_2 < ...
+    The expansion of a rational ends with p_k / q_k = alpha; that of an
+    irrational does not end, so the generator is read lazily.
+    """
+    p0, q0, p1, q1 = 1, 0, 0, 1
+    x = alpha
+    while True:
+        a = x.floor()
+        p0, q0, p1, q1 = a * p0 + p1, a * q0 + q1, p0, q0
+        yield p0, q0
+        x = x - a
+        if not x:
+            return
+        x = 1 / x
+
+
+def _scan_dim2(omega, N, p_, q_, consider, best) -> bool:
+    """Exact sweep for n = 2 and s = p_/q_ >= 0, with convergent block skipping.
+
+    Only rows I2 > 0 are swept, after (1, 0) and (0, 1): row -I2 holds the
     mirror images of row I2's vectors, with equal quantities, and the
     strict comparison in ``consider`` keeps the first of equal minima.
+
+    Rows.  For fixed I2, any integer I1 at distance >= r from the real
+    minimizer of |(omega, I)| satisfies quantity >= |omega_1| * r * I2^s,
+    so only a short interval of candidates around the minimizer can beat
+    the current best.
+
+    Blocks.  Let alpha = omega_2 / omega_1 with convergents p_k / q_k.  By
+    Lagrange's best-approximation theorem (Khinchin, Continued Fractions,
+    sec. 6), |q alpha - p| >= |q_k alpha - p_k| for every integer p and
+    0 < q < q_{k+1}.  So on every row q_k <= I2 < q_{k+1}, and for every I1,
+        |(omega, I)| * |I|^s >= |omega_1| * |q_k alpha - p_k| * I2^s
+                              = |(omega, (-p_k, q_k))| * I2^s,
+    since |I| >= I2 and s >= 0.  The bound grows with I2 and the best only
+    falls, so once its exact (2q)-th power is >= the best key on one row
+    of the block, it is on every later row of the block too, and the sweep
+    jumps to row q_{k+1}.  The skip starts at k = 0 (rows 1 <= I2 < a_1;
+    empty when a_1 = 1, where q_0 = q_1 = 1).  It is non-strict: a skipped
+    row holds no vector with a key below the best, so ``consider`` would
+    have changed nothing there, and ``worst`` and ``min_power`` are those
+    of the full sweep.  A rational alpha has a finite expansion whose last
+    convergent equals alpha; its block bound is 0, which never reaches a
+    nonzero best, so from row q_k on every row is scanned.
     """
     w1, w2 = omega.entries
     if exact_sign(w1) == 0:
@@ -182,13 +223,25 @@ def _scan_dim2(omega, N, p_, q_, consider, best) -> bool:
     if consider((1, 0)) or consider((0, 1)):
         return True
     w1sq_q = (w1 * w1) ** q_
-    for I2 in range(1, N + 1):
+    conv = _convergents(w2 / w1)
+    nxt = next(conv)  # (p_0, q_0 = 1)
+    I2 = 1
+    while I2 <= N:
+        if nxt is not None and nxt[1] <= I2:  # enter block k
+            gap = nxt[1] * w2 - nxt[0] * w1  # omega_1 * (q_k alpha - p_k)
+            gap_q = (gap * gap) ** q_
+            nxt = next(conv, None)
+            continue
+        row_q = Fraction(I2 * I2) ** p_  # (I2^s)^(2q)
+        if exact_sign(gap_q * row_q - best["key"]) >= 0:
+            I2 = N + 1 if nxt is None else nxt[1]
+            continue
         xstar = -(w2 * I2) / w1
         c0 = xstar.floor()
         r = 1
         lo, hi = c0, c0 + 1
         while r <= 2 * N:
-            bound = w1sq_q * Fraction(r) ** (2 * q_) * Fraction(I2 * I2) ** p_
+            bound = w1sq_q * Fraction(r) ** (2 * q_) * row_q
             if exact_sign(bound - best["key"]) >= 0:
                 break
             lo, hi = c0 - r, c0 + r + 1
@@ -196,6 +249,7 @@ def _scan_dim2(omega, N, p_, q_, consider, best) -> bool:
         for I1 in range(max(lo, -N), min(hi, N) + 1):
             if consider((I1, I2)):
                 return True
+        I2 += 1
     return False
 
 

@@ -1,11 +1,15 @@
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
+from math import floor, gcd
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from kamforge.diophantine import (
     FourierTable,
+    _convergents,
     _row_statistic,
     FrequencyVector,
     decay_fit,
@@ -16,7 +20,7 @@ from kamforge.diophantine import (
     small_denominator_series,
 )
 from kamforge.errors import InsufficientSupport, ResonantDenominator
-from kamforge.scalar import RATIONAL, continued_fraction, convergents, exact_sign, quadratic
+from kamforge.scalar import RATIONAL, QuadScalar, continued_fraction, convergents, exact_sign, quadratic
 
 CTX2 = quadratic(2)
 OMEGA_SQRT2 = FrequencyVector((CTX2.one, CTX2.sqrt_d()), CTX2)
@@ -79,6 +83,130 @@ def test_worst_vectors_are_convergents():
         est = kolmogorov_constant(OMEGA_SQRT2, 1, N)
         p, q = abs(est.worst[0]), abs(est.worst[1])
         assert (p, q) in pairs
+
+
+GOLDEN = QuadScalar(Fraction(1, 2), Fraction(1, 2), 5)
+
+
+def _abs(x):
+    return -x if exact_sign(x) < 0 else x
+
+
+def _key(w1, w2, nu, I1, I2):
+    """(|(omega, I)| * |I|^s)^(2q) for n = 2, s = 1 + nu = p/q."""
+    s = 1 + Fraction(nu)
+    dot = w1 * I1 + w2 * I2
+    return (dot * dot) ** s.denominator * Fraction(I1 * I1 + I2 * I2) ** s.numerator
+
+
+def _half_ball_minimum(w1, w2, nu, N):
+    """The least ``_key`` over the half ball 0 < |I|_sup <= N, by brute force."""
+    best = None
+    for I2 in range(N + 1):
+        for I1 in range(-N if I2 else 1, N + 1):
+            key = _key(w1, w2, nu, I1, I2)
+            if best is None or exact_sign(key - best) < 0:
+                best = key
+    return best
+
+
+_ratio = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 20))
+
+
+@st.composite
+def _omega_cases(draw):
+    """(omega, nu, N): rational or Q(sqrt d) entries, either sign, omega_1 = 0,
+    and rational alpha = omega_2 / omega_1 resonant inside or only beyond the ball."""
+    d = draw(st.sampled_from([0, 2, 3, 5]))
+    ctx = quadratic(d) if d else RATIONAL
+    nu = draw(st.sampled_from([0, Fraction(1, 3), 1, 2, Fraction(7, 3)]))
+    N = draw(st.integers(1, 60))
+
+    def entry():
+        return ctx.coerce(draw(_ratio)) + (draw(_ratio) * ctx.sqrt_d() if d else 0)
+
+    shape = draw(st.sampled_from(["free", "zero", "inside", "beyond"]))
+    if shape == "free":
+        w = (entry(), entry())
+    elif shape == "zero":
+        w = (ctx.zero, entry())
+    else:
+        # alpha = a / b: the resonance (a, -b) lies in the ball, or only past |I1| <= N
+        b = draw(st.integers(1, N))
+        a = draw(st.integers(-N, N) if shape == "inside" else st.integers(N + 1, 3 * N))
+        a *= draw(st.sampled_from([1, -1]))
+        assume(gcd(a, b) == 1)
+        lam = entry()
+        assume(lam)
+        w = (lam * b, lam * a)
+    return FrequencyVector(w, ctx), nu, N
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(_omega_cases())
+# minima on rows that a block bound twice too large would skip
+@example((FrequencyVector((Fraction(-19, 6), Fraction(4)), RATIONAL), 0, 9))
+@example((FrequencyVector((QuadScalar(Fraction(-9, 2), Fraction(-12, 13), 3), QuadScalar(Fraction(-11, 16), Fraction(17, 13), 3)), quadratic(3)), 0, 40))
+def test_kolmogorov_constant_n2_matches_half_ball_walk(case):
+    omega, nu, N = case
+    w1, w2 = omega.entries
+    est = kolmogorov_constant(omega, nu, N)
+    best = _half_ball_minimum(w1, w2, nu, N)
+    assert exact_sign(est.min_power - best) == 0
+    I1, I2 = est.worst
+    assert 0 < max(abs(I1), abs(I2)) <= N and next(x for x in est.worst if x) > 0
+    assert exact_sign(_key(w1, w2, nu, I1, I2) - est.min_power) == 0
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        CTX2.sqrt_d(),
+        quadratic(3).sqrt_d(),
+        GOLDEN,  # a_1 = 1, so q_0 = q_1 = 1 and the k = 0 block is empty
+        -CTX2.sqrt_d(),
+        1 - GOLDEN,
+        RATIONAL.coerce(Fraction(355, 113)),
+        RATIONAL.coerce(Fraction(17, 10)),  # [1; 1, 2, 3]: a_1 = 1
+        RATIONAL.coerce(Fraction(2, 11)),  # [0; 5, 2]: the k = 0 block holds rows 1 to 4
+        RATIONAL.coerce(Fraction(-7, 5)),
+        RATIONAL.coerce(3),
+        RATIONAL.zero,
+    ],
+)
+def test_convergent_blocks_bound_every_row(alpha):
+    conv = list(islice(_convergents(alpha), 12))
+    rational = not alpha.b
+    qs = [q for _, q in conv]
+    assert qs[0] == 1 and all(a < b for a, b in zip(qs[1:], qs[2:]))
+    for (p0, q0), (p1, q1) in zip(conv, conv[1:]):
+        assert abs(p1 * q0 - p0 * q1) == 1
+    if rational:
+        assert len(conv) < 12 and conv[-1][0] == alpha * conv[-1][1]
+    elif alpha > 0:
+        assert conv == convergents(continued_fraction(alpha, 12))
+    # Lagrange: on every row q_k <= q < q_{k+1}, min_p |q alpha - p| >= |q_k alpha - p_k|
+    ends = qs[1:] + [400] * rational  # an irrational's last block runs on past q_11
+    for (pk, qk), end in zip(conv, ends):
+        gap = _abs(qk * alpha - pk)
+        for q in range(qk, min(end, 400)):
+            near = floor(float(q * alpha))
+            brute = min(_abs(q * alpha - p) for p in range(near - 2, near + 4))
+            assert brute >= gap
+
+
+def test_dim2_sweep_skips_convergent_blocks(monkeypatch):
+    calls = []
+    dot = FrequencyVector.dot
+
+    def counting_dot(self, I):
+        calls.append(I)
+        return dot(self, I)
+
+    monkeypatch.setattr(FrequencyVector, "dot", counting_dot)
+    est = kolmogorov_constant(OMEGA_SQRT2, 1, 10**4)
+    assert est.worst == (1, -1)
+    assert len(calls) <= 50  # the row-by-row sweep made 14144
 
 
 def test_liouville_witness_values():
