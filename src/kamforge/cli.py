@@ -211,11 +211,12 @@ def _run_hadamard(params):
     omega = diophantine.FrequencyVector(_scalars(ctx, params["omega"]), ctx)
     h = diophantine.small_denominator_series(omega, params["N"])
     rate = _floats(params["decay_rate"], "decay_rate")
+    keys = list(h.coefficients)
     # exp may overflow to inf; the fits then turn out non-finite, which the
     # report names as NonFiniteResult
     with np.errstate(over="ignore"):
-        table = {I: float(np.exp(-rate * np.sqrt(sum(x * x for x in I)))) for I in h.coefficients}
-    f = diophantine.FourierTable(table, source=f"exp(-{rate}|I|)")
+        exp = np.exp(-rate * np.sqrt((np.array(keys) ** 2).sum(axis=1)))
+    f = diophantine.FourierTable(dict(zip(keys, exp.tolist())), source=f"exp(-{rate}|I|)")
     prod = diophantine.hadamard_apply(h, f)
     return {
         "denominator_fit": diophantine.decay_fit(h).to_json(),

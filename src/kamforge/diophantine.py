@@ -13,16 +13,21 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import count, product
+from math import lcm
+from operator import mul
 
 import numpy as np
 
-from .errors import InsufficientSupport, ResonantDenominator
+from .errors import ContextMismatch, InsufficientSupport, ResonantDenominator
 from .scalar import (
     RATIONAL,
     CertifiedDecimal,
+    QuadScalar,
     ScalarContext,
     certified_root,
     exact_sign,
+    integer_bounds,
+    root_value,
 )
 
 __all__ = [
@@ -62,6 +67,24 @@ class FrequencyVector:
             if i:
                 out = out + w * i
         return out
+
+
+def integer_pairing(omega) -> tuple[int, tuple, tuple, int]:
+    """Integers E > 0, a_j, b_j and a radicand d with omega_j = (a_j + b_j*sqrt(d)) / E.
+
+    ``omega`` holds exact scalars (int, Fraction or QuadScalar); d is 0
+    when every entry is rational.  Then (omega, I) = (A + B*sqrt(d)) / E
+    with the integers A = sum a_j I_j and B = sum b_j I_j, and since
+    sqrt(d) is irrational, (omega, I) = 0 exactly when A = B = 0.
+    """
+    ws = [w if isinstance(w, QuadScalar) else RATIONAL.coerce(w) for w in omega]
+    radicands = {w.d for w in ws if w.b}
+    if len(radicands) > 1:
+        raise ContextMismatch(f"mixed radicands {sorted(radicands)} in omega")
+    E = lcm(*(w.den for w in ws))
+    a = tuple(w.a * (E // w.den) for w in ws)
+    b = tuple(w.b * (E // w.den) for w in ws)
+    return E, a, b, max(radicands, default=0)
 
 
 def _normalize(I):
@@ -340,18 +363,34 @@ class FourierTable:
 
 
 def small_denominator_series(omega: FrequencyVector, N: int) -> FourierTable:
-    """The table |(omega, I)|^{-1} for 0 < |I|_sup <= N (all signs kept)."""
+    """The table |(omega, I)|^{-1} for 0 < |I|_sup <= N (all signs kept).
+
+    Keys are in ``product`` order, the order ``decay_fit``'s least-squares
+    sum reads.  It visits -I before I whenever I's first nonzero entry is
+    positive, and (omega, -I) = -(omega, I) exactly, so the second half
+    copies the first.  A resonance raises ResonantDenominator for the
+    first resonant vector met, normalised: (4, -2) for omega = (1, 2) and
+    N = 4.  With omega_j = (a_j + b_j*sqrt(d)) / E (``integer_pairing``),
+        1 / (omega, I)^2 = E^2 (A^2 + d B^2 - 2AB sqrt(d)) / (A^2 - d B^2)^2;
+    ``integer_bounds`` brackets it, and the entry is ``root_value`` of the
+    upper bound, the value of ``certified_root(1 / (omega, I)^2, 2)``
+    without its error bound, which the table would throw away.
+    """
     if N < 1:
         raise ValueError("lattice cutoff N must be >= 1")
-    coeffs = {}
-    for I in product(range(-N, N + 1), repeat=omega.n):
-        if all(x == 0 for x in I):
-            continue
-        dot = omega.dot(I)
-        if exact_sign(dot) == 0:
+    E, a, b, d = integer_pairing(omega.entries)
+    E2 = E * E
+    keys = list(product(range(-N, N + 1), repeat=omega.n))
+    half = len(keys) // 2  # keys[half] = 0 and keys[half + j] = -keys[half - j]
+    values = []
+    for I in keys[:half]:
+        A, B = sum(map(mul, a, I)), sum(map(mul, b, I))
+        if not A and not B:
             raise ResonantDenominator(_normalize(I))
-        inv = 1 / (dot * dot)
-        coeffs[I] = certified_root(inv, 2).value
+        AA, dBB = A * A, d * B * B
+        _, hi, D = integer_bounds(E2 * (AA + dBB), -2 * A * B * E2, d, (AA - dBB) ** 2)
+        values.append(root_value(hi, D, 2))
+    coeffs = dict(zip(keys[:half] + keys[half + 1 :], values + values[::-1]))
     return FourierTable(coeffs, source=f"small-denominators N={N}")
 
 
@@ -384,7 +423,7 @@ def decay_fit(f: FourierTable) -> DecayFit:
     pts = [(I, v) for I, v in f.coefficients.items() if v > 0]
     if len(pts) < 3:
         raise InsufficientSupport("decay_fit needs at least 3 nonzero magnitudes")
-    r = np.array([np.sqrt(sum(x * x for x in I)) for I, _ in pts])
+    r = np.sqrt((np.array([I for I, _ in pts]) ** 2).sum(axis=1))
     y = np.log(np.array([v for _, v in pts]))
     A = np.stack([r, np.ones_like(r)], axis=1)
     coef, _, _, _ = np.linalg.lstsq(A, y, rcond=None)

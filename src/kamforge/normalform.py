@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from operator import add
+from operator import mul
 
-from .diophantine import half_ball
+from .diophantine import half_ball, integer_pairing
 from .errors import DegenerateAlpha, InvalidInput, ResonantDenominator
 from .scalar import CertifiedDecimal, certified_root, exact_sign
 from .series import Generator, PoissonSeries, drop_count, flow_apply, poisson_bracket
@@ -89,13 +88,18 @@ class IntegrableHamiltonian:
 
 
 def resonances(omega, N: int) -> list[tuple]:
-    """All I of ``half_ball(n, N)`` with (omega, I) = 0, in lexicographic order."""
+    """All I of ``half_ball(n, N)`` with (omega, I) = 0, in lexicographic order.
+
+    With omega_j = (a_j + b_j*sqrt(d)) / E (``integer_pairing``), I is
+    resonant exactly when both integers sum a_j I_j and sum b_j I_j vanish.
+    """
     if N < 1:
         raise ValueError("lattice cutoff N must be >= 1")
+    _, a, b, _ = integer_pairing(omega)
     return [
         I
         for I in half_ball(len(omega), N)
-        if exact_sign(reduce(add, (w * i for w, i in zip(omega, I) if i))) == 0
+        if not sum(map(mul, a, I)) and not sum(map(mul, b, I))
     ]
 
 

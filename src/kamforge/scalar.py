@@ -373,27 +373,43 @@ def convergents(quotients: list[int]) -> list[tuple[int, int]]:
 # certified real approximations
 
 
-def rational_bounds(x) -> tuple[Fraction, Fraction]:
-    """An exact rational interval [lo, hi] containing x, of width at most 1e-20 * |lo|.
+def integer_bounds(a: int, b: int, d: int, den: int) -> tuple[int, int, int]:
+    """Integers lo, hi and D > 0 with lo/D <= (a + b*sqrt(d))/den <= hi/D, for den > 0.
 
     A high power of a quadratic irrational is small with huge a and b that
     cancel, so the digits of sqrt(d) are doubled, from 30, until the
-    interval excludes 0 (an irrational x is not 0) and is that narrow.
+    interval excludes 0 (an irrational number is not 0) and its width |b|/D
+    is at most 1e-20 * |lo/D|.  Both are integer tests on the numerators
+    (lo > 0 or hi < 0, and |b| * 10**20 <= |lo|), and neither depends on
+    whether (a, b, den) is in lowest terms.  For b = 0 the bounds are
+    exact: (a, a, den).
+    """
+    if not b:
+        return a, a, den
+    digits = 30
+    while True:
+        scale = 10**digits
+        r = isqrt(d * scale * scale)  # r <= sqrt(d) * scale < r + 1
+        lo = a * scale + b * r
+        hi = lo + b
+        if b < 0:
+            lo, hi = hi, lo
+        if (lo > 0 or hi < 0) and abs(b) * 10**20 <= abs(lo):
+            return lo, hi, den * scale
+        digits *= 2
+
+
+def rational_bounds(x) -> tuple[Fraction, Fraction]:
+    """An exact rational interval [lo, hi] containing x, of width at most 1e-20 * |lo|.
+
+    A rational x gives [x, x]; a QuadScalar gives ``integer_bounds`` of
+    its triple as Fractions.
     """
     if not isinstance(x, QuadScalar):
         f = Fraction(x)
         return f, f
-    digits = 30
-    while True:
-        scale = 10**digits
-        r = isqrt(x.d * scale * scale)  # r <= sqrt(d) * scale < r + 1
-        lo = Fraction(x.a * scale + x.b * r, x.den * scale)
-        hi = Fraction(x.a * scale + x.b * (r + 1), x.den * scale)
-        if x.b < 0:
-            lo, hi = hi, lo
-        if not x.b or ((lo > 0 or hi < 0) and (hi - lo) * 10**20 <= abs(lo)):
-            return lo, hi
-        digits *= 2
+    lo, hi, D = integer_bounds(x.a, x.b, x.d, x.den)
+    return Fraction(lo, D), Fraction(hi, D)
 
 
 @dataclass(frozen=True)
@@ -417,8 +433,34 @@ class CertifiedDecimal:
         return cls(value, err)
 
 
+def root_value(num: int, den: int, power: int) -> float:
+    """The float (num/den) ** (1/power) for integers num, den > 0, also past the float range.
+
+    num/den is rounded to the nearest float by Python's correctly rounded
+    int/int division, so any representation of one rational gives the same
+    value.  When that float is 0 or overflows, num/den = m * 2^L with m in
+    [1/2, 2) is rooted as m^(1/power) * 2^(L/power).
+    """
+    try:
+        value = (num / den) ** (1.0 / power)
+    except OverflowError:
+        value = 0.0
+    if not value:
+        x = Fraction(num, den)
+        L = x.numerator.bit_length() - x.denominator.bit_length()
+        e, r = divmod(L, power)
+        value = ldexp(float(x / Fraction(2) ** L) ** (1.0 / power) * 2.0 ** (r / power), e)
+    return value
+
+
 def certified_root(power_value, power: int) -> CertifiedDecimal:
-    """Certified decimal for x = power_value ** (1/power), power_value >= 0 exact."""
+    """Certified decimal for x = power_value ** (1/power), power_value >= 0 exact.
+
+    The value is ``root_value`` of the upper end of ``rational_bounds``;
+    the error then doubles, from 1e-14 of the value, until the interval it
+    spans, raised to ``power``, contains [lo, hi].  A caller that wants
+    only the value calls ``root_value`` and skips that loop.
+    """
     if power < 1:
         raise ValueError("power must be >= 1")
     lo, hi = rational_bounds(power_value)
@@ -426,14 +468,7 @@ def certified_root(power_value, power: int) -> CertifiedDecimal:
         return CertifiedDecimal(0.0, 0.0)
     if lo < 0:
         lo = Fraction(0)
-    try:
-        value = float(hi) ** (1.0 / power)
-    except OverflowError:
-        value = 0.0
-    if not value:  # hi lies outside the float range: hi = m * 2^L, m in [1/2, 2)
-        L = hi.numerator.bit_length() - hi.denominator.bit_length()
-        e, r = divmod(L, power)
-        value = ldexp(float(hi / Fraction(2) ** L) ** (1.0 / power) * 2.0 ** (r / power), e)
+    value = root_value(hi.numerator, hi.denominator, power)
     err = max(1e-14 * value, 1e-300)
     while True:
         vlo = Fraction(value) - Fraction(err)

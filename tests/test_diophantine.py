@@ -1,3 +1,4 @@
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice, product
 from math import floor, gcd
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from kamforge import diophantine
 from kamforge.diophantine import (
     FourierTable,
     _convergents,
@@ -20,7 +22,16 @@ from kamforge.diophantine import (
     small_denominator_series,
 )
 from kamforge.errors import InsufficientSupport, ResonantDenominator
-from kamforge.scalar import RATIONAL, QuadScalar, continued_fraction, convergents, exact_sign, quadratic
+from kamforge.scalar import (
+    RATIONAL,
+    QuadScalar,
+    certified_root,
+    continued_fraction,
+    convergents,
+    exact_sign,
+    integer_bounds,
+    quadratic,
+)
 
 CTX2 = quadratic(2)
 OMEGA_SQRT2 = FrequencyVector((CTX2.one, CTX2.sqrt_d()), CTX2)
@@ -241,6 +252,93 @@ def test_small_denominator_series():
     with pytest.raises(ResonantDenominator) as exc:
         small_denominator_series(FrequencyVector((Fraction(1), Fraction(2)), RATIONAL), 3)
     assert exc.value.vector == (2, -1)
+
+
+# a unit of Q(sqrt d) greater than 1, whose powers have huge a and b that nearly cancel in 1/u^k
+_UNITS = {2: (1, 1), 3: (2, 1), 5: (Fraction(1, 2), Fraction(1, 2))}
+
+
+@st.composite
+def _table_cases(draw):
+    """(omega, N): rational or Q(sqrt d) entries of either sign, n in {1, 2, 3}, sometimes
+    scaled by a power of a unit so that tiny entries widen sqrt(d) past 30 digits."""
+    d = draw(st.sampled_from([0, 2, 3, 5]))
+    ctx = quadratic(d) if d else RATIONAL
+    n = draw(st.sampled_from([1, 2, 3]))
+    N = draw(st.integers(1, {1: 10, 2: 5, 3: 2}[n]))
+
+    def entry():
+        w = ctx.coerce(draw(_ratio)) + (draw(_ratio) * ctx.sqrt_d() if d else 0)
+        if d and draw(st.booleans()):
+            w = w * QuadScalar(*_UNITS[d], d) ** draw(st.integers(8, 40))
+        return w
+
+    return FrequencyVector(tuple(entry() for _ in range(n)), ctx), N
+
+
+def _reference_table(omega, N):
+    """The table as one certified root of 1/(omega, I)^2 per I in product order, or the
+    first resonant vector met, normalised."""
+    out = []
+    for I in product(range(-N, N + 1), repeat=omega.n):
+        if any(I):
+            dot = omega.dot(I)
+            if not dot:
+                sign = 1 if next(x for x in I if x) > 0 else -1
+                return tuple(sign * x for x in I)
+            out.append((I, certified_root(1 / (dot * dot), 2).value))
+    return out
+
+
+_UNIT2_31 = QuadScalar(1, 1, 2) ** 31  # 1 / (1 + sqrt 2)^31 is about 1.4e-12
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_table_cases())
+@example((FrequencyVector((_UNIT2_31, CTX2.one), CTX2), 2))
+@example((FrequencyVector((-_UNIT2_31, _UNIT2_31.conjugate(), CTX2.sqrt_d()), CTX2), 1))
+@example((FrequencyVector((Fraction(1), Fraction(2)), RATIONAL), 4))
+def test_small_denominator_series_matches_certified_root(case):
+    omega, N = case
+    ref = _reference_table(omega, N)
+    try:
+        got = list(small_denominator_series(omega, N).coefficients.items())
+    except ResonantDenominator as exc:
+        got = exc.vector
+    assert got == ref
+
+
+def test_small_denominator_tiny_entry_widens_past_30_digits():
+    table = small_denominator_series(FrequencyVector((_UNIT2_31, CTX2.one), CTX2), 2)
+    # 1 / (1 + sqrt 2)^31 = (sqrt 2 - 1)^31, to 60 digits
+    with localcontext() as dec:
+        dec.prec = 60
+        exact = (Decimal(2).sqrt() - 1) ** 31
+    assert abs(Decimal(table.coefficients[(1, 0)]) - exact) <= exact * Decimal(2) ** -50
+    x = 1 / (_UNIT2_31 * _UNIT2_31)
+    _, _, D = integer_bounds(x.a, x.b, x.d, x.den)
+    assert D // x.den >= 10**60
+
+
+@pytest.mark.parametrize("N, vector", [(3, (2, -1)), (4, (4, -2)), (6, (6, -3))])
+def test_small_denominator_series_reports_first_resonance(N, vector):
+    with pytest.raises(ResonantDenominator) as exc:
+        small_denominator_series(FrequencyVector((Fraction(1), Fraction(2)), RATIONAL), N)
+    assert exc.value.vector == vector
+
+
+def test_small_denominator_series_one_root_per_pair(monkeypatch):
+    calls = []
+    root_value = diophantine.root_value
+
+    def counting_root_value(*args):
+        calls.append(args)
+        return root_value(*args)
+
+    monkeypatch.setattr(diophantine, "root_value", counting_root_value)
+    table = small_denominator_series(OMEGA_SQRT2, 12)
+    assert len(table.coefficients) == 624
+    assert len(calls) == 312  # one certified root per entry made 624
 
 
 def _ball(N):

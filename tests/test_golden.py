@@ -13,7 +13,7 @@ from kamforge.cli import main
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 SUFFIX = ".scenario.json"
 NAMES = sorted(f[: -len(SUFFIX)] for f in os.listdir(GOLDEN) if f.endswith(SUFFIX))
-EXIT_STATUS = {"schema-error": 2}
+EXIT_STATUS = {"hadamard-resonant": 1, "schema-error": 2}
 
 
 def golden_report(name):
