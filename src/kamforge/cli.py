@@ -18,6 +18,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from functools import cache
 
 import jsonschema
 import numpy as np
@@ -563,7 +564,9 @@ def _execute(raw, out: str | None, timings: bool) -> int:
     return 0 if results.get("all_pass", True) else 1
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="kamforge",
         description="Executable formal KAM theory: scenario runner and self tests.",
@@ -577,7 +580,11 @@ def main(argv=None) -> int:
     p_st = sub.add_parser("selftest", help="run the invariant suite")
     p_st.add_argument("--seed", type=int, default=0)
     p_st.add_argument("--out", default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "run":
         return run_scenario(args.scenario, args.out, args.timings)
     return _execute({"kind": "selftest", "seed": args.seed}, args.out, timings=False)

@@ -98,10 +98,16 @@ def _normalize(I):
 
 def half_ball(n: int, N: int):
     """The vectors 0 < |I|_sup <= N whose first nonzero entry is positive,
-    one of each pair +-I, in lexicographic order."""
-    for I in product(range(-N, N + 1), repeat=n):
-        if next((x for x in I if x != 0), 0) > 0:
-            yield I
+    one of each pair +-I, in lexicographic order.
+
+    More leading zeros come first, so the position j of the first nonzero
+    entry runs from the last to the first, that entry over 1 .. N and the
+    rest over the whole cube; nothing of the other half is generated.
+    """
+    for j in reversed(range(n)):
+        for a in range(1, N + 1):
+            for rest in product(range(-N, N + 1), repeat=n - 1 - j):
+                yield (0,) * j + (a,) + rest
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,8 @@ class DiophantineEstimate:
     ``min_power`` holds the exact value of C_est**power, which is what
     cross-cutoff monotonicity comparisons use; ``c_est`` is its certified
     real root.  The norm in the quantity is Euclidean, the ball is sup-norm.
+    ``worst`` is the first minimiser in ``half_ball`` order, or the first
+    resonant vector there.
     """
 
     c_est: CertifiedDecimal
@@ -140,13 +148,33 @@ def kolmogorov_constant(omega: FrequencyVector, nu, N: int) -> DiophantineEstima
     """Exact minimization of |(omega, I)| * |I|^(n-1+nu) over 0 < |I|_sup <= N.
 
     All comparisons happen on the (2q)-th power of the quantity (s = p/q),
-    so they are exact rational / quadratic-field sign tests.  For n = 2 and
-    s >= 0, ``_scan_dim2`` sweeps the rows I2 and skips every block of rows
-    that a best-approximation bound rules out; its cost is the number of
-    convergents of omega_2 / omega_1 with denominator up to N plus the rows
-    it scans.  Other cases walk the half ball (``half_ball``), since I and
-    -I give the same quantity.  ``worst`` is the first of equal minima in
-    visiting order.
+    so they are exact rational / quadratic-field sign tests.  I and -I give
+    the same quantity, so one sweep visits ``half_ball(n, N)`` in its order,
+    solving for x = I_n: the row K = 0, then each row K = (I_1, ...,
+    I_{n-1}) of ``half_ball(n - 1, N)``, x ascending.  Only a strictly lower
+    key replaces the best and the first resonance ends the sweep, so
+    ``worst`` is the first minimiser (or resonant vector) in that order.
+
+    Row K = 0 scores |omega_n| * x^(1+s), monotone in x: only x = 1 and
+    x = N are scored, and if omega_n = 0, (0, ..., 0, 1) is resonant.  On
+    row K, (omega, I) = omega_n * (x - r) with r exact, and (|I|^s)^(2q) >=
+    W = |K|^(2p) for s >= 0, (|K|^2 + N^2)^p for s < 0.  So with r clipped
+    to [-N, N], every x in the ball at distance >= t from r has a key >=
+    (omega_n * t)^(2q) * W.  The sweep scores the integers nearer than t,
+    from t = 1 on, widening while that bound is below the best; the others
+    cannot beat it.  For s >= 0 the bound at t = 1 is no less than the key
+    of (0, ..., 0, 1), so no row widens.  The cost is the rows plus the
+    candidates the widening adds.
+
+    Blocks (n = 2, s >= 0).  Rows are I_1 = a; let alpha = omega_1 / omega_2
+    have convergents p_k / q_k.  By Lagrange's best-approximation theorem
+    (Khinchin, Continued Fractions, sec. 6), |a alpha - p| >= |q_k alpha -
+    p_k| for every integer p and 0 < a < q_{k+1}, so every row q_k <= a <
+    q_{k+1} scores at least |(omega, (q_k, -p_k))| * a^s.  That bound grows
+    with a and the best only falls, so once its (2q)-th power is >= the best
+    on one row of the block, the sweep jumps to row q_{k+1}.  The skip is
+    non-strict, so ``worst`` and ``min_power`` are those of the full sweep.
+    A rational alpha's last convergent is alpha itself, with bound 0.
     """
     if N < 1:
         raise ValueError("lattice cutoff N must be >= 1")
@@ -155,38 +183,65 @@ def kolmogorov_constant(omega: FrequencyVector, nu, N: int) -> DiophantineEstima
     s = n - 1 + nu
     p_, q_ = s.numerator, s.denominator
     power = 2 * q_
+    *head, wn = omega.entries
+    best = worst = None
 
-    best = {"key": None, "worst": None}
-
-    def consider(I) -> bool:
-        """Returns True when a resonance ends the search."""
+    def score(I) -> bool:
+        """Keeps I if it beats the best strictly; True when I is resonant."""
+        nonlocal best, worst
         dot = omega.dot(I)
         if exact_sign(dot) == 0:
-            best["key"] = Fraction(0)
-            best["worst"] = _normalize(I)
+            best, worst = Fraction(0), I
             return True
         key = _power_key(dot, sum(x * x for x in I), s)
-        if best["key"] is None or exact_sign(key - best["key"]) < 0:
-            best["key"] = key
-            best["worst"] = _normalize(I)
+        if best is None or exact_sign(key - best) < 0:
+            best, worst = key, I
         return False
 
-    resonant = False
-    if n == 2 and s >= 0:
-        resonant = _scan_dim2(omega, N, p_, q_, consider, best)
-    else:
-        resonant = any(consider(I) for I in half_ball(n, N))
-    c_est = (
-        CertifiedDecimal(0.0, 0.0)
-        if resonant
-        else certified_root(best["key"], power)
-    )
+    def sweep() -> bool:
+        """Scores the candidates in ``half_ball`` order; True on a resonance."""
+        zero = (0,) * (n - 1)
+        if exact_sign(wn) == 0:
+            return score(zero + (1,))
+        for x in sorted({1, N}):
+            score(zero + (x,))
+        wn_q = (wn * wn) ** q_
+        blocks = n == 2 and s >= 0
+        if blocks:
+            conv = _convergents(head[0] / wn)
+            nxt = next(conv)  # (p_0, q_0 = 1)
+        rows = half_ball(n - 1, N)
+        while (K := next(rows, None)) is not None:
+            nrm = sum(k * k for k in K)
+            W = Fraction(nrm if s >= 0 else nrm + N * N) ** p_
+            if blocks:
+                while nxt is not None and nxt[1] <= K[0]:  # enter block k
+                    gap = nxt[1] * head[0] - nxt[0] * wn  # omega_2 * (q_k alpha - p_k)
+                    gap_q = (gap * gap) ** q_
+                    nxt = next(conv, None)
+                if exact_sign(gap_q * W - best) >= 0:
+                    if nxt is None:
+                        return False
+                    rows = zip(range(nxt[1], N + 1))  # rows (a,) from a = q_{k+1} on
+                    continue
+            r = -sum(w * k for w, k in zip(head, K)) / wn
+            c0 = min(max(r.floor(), -N), N)
+            lo, hi, t = c0, c0 + 1, 1
+            while (lo > -N or hi < N) and exact_sign(wn_q * t ** power * W - best) < 0:
+                lo, hi, t = c0 - t, c0 + t + 1, t + 1
+            for x in range(max(lo, -N), min(hi, N) + 1):
+                if score(K + (x,)):
+                    return True
+        return False
+
+    resonant = sweep()
+    c_est = CertifiedDecimal(0.0, 0.0) if resonant else certified_root(best, power)
     return DiophantineEstimate(
         c_est=c_est,
         nu=nu,
         N=N,
-        worst=best["worst"],
-        min_power=best["key"],
+        worst=worst,
+        min_power=best,
         power=power,
     )
 
@@ -209,71 +264,6 @@ def _convergents(alpha):
         if not x:
             return
         x = 1 / x
-
-
-def _scan_dim2(omega, N, p_, q_, consider, best) -> bool:
-    """Exact sweep for n = 2 and s = p_/q_ >= 0, with convergent block skipping.
-
-    Only rows I2 > 0 are swept, after (1, 0) and (0, 1): row -I2 holds the
-    mirror images of row I2's vectors, with equal quantities, and the
-    strict comparison in ``consider`` keeps the first of equal minima.
-
-    Rows.  For fixed I2, any integer I1 at distance >= r from the real
-    minimizer of |(omega, I)| satisfies quantity >= |omega_1| * r * I2^s,
-    so only a short interval of candidates around the minimizer can beat
-    the current best.
-
-    Blocks.  Let alpha = omega_2 / omega_1 with convergents p_k / q_k.  By
-    Lagrange's best-approximation theorem (Khinchin, Continued Fractions,
-    sec. 6), |q alpha - p| >= |q_k alpha - p_k| for every integer p and
-    0 < q < q_{k+1}.  So on every row q_k <= I2 < q_{k+1}, and for every I1,
-        |(omega, I)| * |I|^s >= |omega_1| * |q_k alpha - p_k| * I2^s
-                              = |(omega, (-p_k, q_k))| * I2^s,
-    since |I| >= I2 and s >= 0.  The bound grows with I2 and the best only
-    falls, so once its exact (2q)-th power is >= the best key on one row
-    of the block, it is on every later row of the block too, and the sweep
-    jumps to row q_{k+1}.  The skip starts at k = 0 (rows 1 <= I2 < a_1;
-    empty when a_1 = 1, where q_0 = q_1 = 1).  It is non-strict: a skipped
-    row holds no vector with a key below the best, so ``consider`` would
-    have changed nothing there, and ``worst`` and ``min_power`` are those
-    of the full sweep.  A rational alpha has a finite expansion whose last
-    convergent equals alpha; its block bound is 0, which never reaches a
-    nonzero best, so from row q_k on every row is scanned.
-    """
-    w1, w2 = omega.entries
-    if exact_sign(w1) == 0:
-        return consider((1, 0))
-    if consider((1, 0)) or consider((0, 1)):
-        return True
-    w1sq_q = (w1 * w1) ** q_
-    conv = _convergents(w2 / w1)
-    nxt = next(conv)  # (p_0, q_0 = 1)
-    I2 = 1
-    while I2 <= N:
-        if nxt is not None and nxt[1] <= I2:  # enter block k
-            gap = nxt[1] * w2 - nxt[0] * w1  # omega_1 * (q_k alpha - p_k)
-            gap_q = (gap * gap) ** q_
-            nxt = next(conv, None)
-            continue
-        row_q = Fraction(I2 * I2) ** p_  # (I2^s)^(2q)
-        if exact_sign(gap_q * row_q - best["key"]) >= 0:
-            I2 = N + 1 if nxt is None else nxt[1]
-            continue
-        xstar = -(w2 * I2) / w1
-        c0 = xstar.floor()
-        r = 1
-        lo, hi = c0, c0 + 1
-        while r <= 2 * N:
-            bound = w1sq_q * Fraction(r) ** (2 * q_) * row_q
-            if exact_sign(bound - best["key"]) >= 0:
-                break
-            lo, hi = c0 - r, c0 + r + 1
-            r += 1
-        for I1 in range(max(lo, -N), min(hi, N) + 1):
-            if consider((I1, I2)):
-                return True
-        I2 += 1
-    return False
 
 
 @dataclass(frozen=True)

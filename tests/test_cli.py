@@ -142,6 +142,22 @@ def test_main_selftest_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_main_calls_do_not_share_flags(tmp_path, capsys):
+    scen = write(tmp_path, "s.json", KNF)
+    a, b, c, d = (tmp_path / f"{k}.json" for k in "abcd")
+    assert main(["run", scen, "--out", str(a), "--timings"]) == 0
+    assert main(["run", scen, "--out", str(b)]) == 0
+    assert "elapsed_seconds" in json.loads(a.read_text())["diagnostics"]
+    assert "elapsed_seconds" not in json.loads(b.read_text())["diagnostics"]
+    capsys.readouterr()
+    assert main(["run", scen]) == 0  # no --out: the report goes to stdout
+    assert capsys.readouterr().out.encode() == b.read_bytes()
+    assert main(["selftest", "--seed", "7", "--out", str(c)]) == 0
+    assert main(["selftest", "--out", str(d)]) == 0
+    assert json.loads(c.read_text())["scenario"]["seed"] == 7
+    assert json.loads(d.read_text())["scenario"]["seed"] == 0
+
+
 def _resonances(context, omega):
     return {"kind": "resonances", "context": context, "omega": omega, "N": 2}
 
@@ -373,6 +389,16 @@ def test_diophantine_certified_past_cancellation(tmp_path, nu):
         )
     v, e = decimal.Decimal(value), decimal.Decimal(err)
     assert v - e <= true <= v + e and err <= 1e-13 * value
+
+
+@pytest.mark.parametrize("omega, worst", [(["0", "0"], [0, 1]), (["0", "0", "0"], [0, 0, 1])])
+def test_diophantine_zero_omega_reports_first_half_ball_vector(tmp_path, omega, worst):
+    # every vector is resonant, and (0, ..., 0, 1) comes first in half-ball order
+    scen = {"kind": "diophantine", "context": {"mode": "rational"}, "omega": omega, "nu": 1, "N": 3}
+    out = tmp_path / "d.json"
+    assert run_scenario(write(tmp_path, "s.json", scen), str(out)) == 0
+    results = json.loads(out.read_text())["results"]
+    assert results["worst"] == worst and results["C_est"] == [0.0, 0.0]
 
 
 def test_lie_scenarios(tmp_path):

@@ -16,6 +16,7 @@ from kamforge.diophantine import (
     FrequencyVector,
     decay_fit,
     hadamard_apply,
+    half_ball,
     kolmogorov_constant,
     liouville_witness,
     measure_estimate,
@@ -62,7 +63,7 @@ def test_kolmogorov_constant_monotone_in_N():
 
 
 def test_pruned_scan_matches_brute_force():
-    # the n=2 fast path must agree with full exact enumeration, also when
+    # the n = 2 sweep must agree with full exact enumeration, also when
     # the minimizer lies in the last row |I2| = N
     for (omega, nu), N in product([
         (OMEGA_SQRT2, 1),
@@ -103,22 +104,22 @@ def _abs(x):
     return -x if exact_sign(x) < 0 else x
 
 
-def _key(w1, w2, nu, I1, I2):
-    """(|(omega, I)| * |I|^s)^(2q) for n = 2, s = 1 + nu = p/q."""
-    s = 1 + Fraction(nu)
-    dot = w1 * I1 + w2 * I2
-    return (dot * dot) ** s.denominator * Fraction(I1 * I1 + I2 * I2) ** s.numerator
-
-
-def _half_ball_minimum(w1, w2, nu, N):
-    """The least ``_key`` over the half ball 0 < |I|_sup <= N, by brute force."""
-    best = None
-    for I2 in range(N + 1):
-        for I1 in range(-N if I2 else 1, N + 1):
-            key = _key(w1, w2, nu, I1, I2)
-            if best is None or exact_sign(key - best) < 0:
-                best = key
-    return best
+def _walk(omega, nu, N):
+    """(least key, its first vector) over the half ball 0 < |I|_sup <= N in lexicographic
+    order, by brute force, with key = (|(omega, I)| * |I|^s)^(2q) for s = n - 1 + nu = p/q;
+    the first resonant vector ends the walk with key 0."""
+    s = omega.n - 1 + Fraction(nu)
+    best = worst = None
+    for I in product(range(-N, N + 1), repeat=omega.n):
+        if next((x for x in I if x), 0) <= 0:
+            continue
+        dot = sum(w * x for w, x in zip(omega.entries, I))
+        if not dot:
+            return 0, I
+        key = (dot * dot) ** s.denominator * Fraction(sum(x * x for x in I)) ** s.numerator
+        if best is None or exact_sign(key - best) < 0:
+            best, worst = key, I
+    return best, worst
 
 
 _ratio = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 20))
@@ -153,20 +154,112 @@ def _omega_cases(draw):
     return FrequencyVector(w, ctx), nu, N
 
 
+def _assert_matches_walk(omega, nu, N):
+    est = kolmogorov_constant(omega, nu, N)
+    key, worst = _walk(omega, nu, N)
+    assert exact_sign(est.min_power - key) == 0
+    assert est.worst == worst
+
+
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(_omega_cases())
 # minima on rows that a block bound twice too large would skip
 @example((FrequencyVector((Fraction(-19, 6), Fraction(4)), RATIONAL), 0, 9))
 @example((FrequencyVector((QuadScalar(Fraction(-9, 2), Fraction(-12, 13), 3), QuadScalar(Fraction(-11, 16), Fraction(17, 13), 3)), quadratic(3)), 0, 40))
 def test_kolmogorov_constant_n2_matches_half_ball_walk(case):
-    omega, nu, N = case
-    w1, w2 = omega.entries
-    est = kolmogorov_constant(omega, nu, N)
-    best = _half_ball_minimum(w1, w2, nu, N)
-    assert exact_sign(est.min_power - best) == 0
-    I1, I2 = est.worst
-    assert 0 < max(abs(I1), abs(I2)) <= N and next(x for x in est.worst if x) > 0
-    assert exact_sign(_key(w1, w2, nu, I1, I2) - est.min_power) == 0
+    _assert_matches_walk(*case)
+
+
+@st.composite
+def _omega_cases_every_n(draw):
+    """(omega, nu, N) for n in {1, 2, 3}: s = n - 1 + nu of either sign, zero entries,
+    and omega a multiple of an integer vector, resonant inside the ball or not."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    d = draw(st.sampled_from([0, 2, 3, 5]))
+    ctx = quadratic(d) if d else RATIONAL
+    s = draw(st.sampled_from([Fraction(k, 2) for k in range(-7, 5)] + [Fraction(1, 3)]))
+    N = draw(st.integers(1, {1: 30, 2: 12, 3: 4}[n]))
+
+    def entry():
+        if draw(st.integers(0, 5)) == 5:
+            return ctx.zero
+        return ctx.coerce(draw(_ratio.filter(bool))) + (draw(_ratio) * ctx.sqrt_d() if d else 0)
+
+    if draw(st.integers(0, 2)):
+        w = tuple(entry() for _ in range(n))
+    else:
+        lam = entry()
+        assume(lam)
+        w = tuple(lam * draw(st.integers(-N - 2, N + 2)) for _ in range(n))
+    return FrequencyVector(w, ctx), s - (n - 1), N
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_omega_cases_every_n())
+@example((FrequencyVector((0, 0), RATIONAL), 1, 3))  # resonant at (0, 1) first
+@example((FrequencyVector((0, 0, 0), CTX2), Fraction(-5, 2), 2))
+@example((FrequencyVector((Fraction(3),), RATIONAL), -1, 5))  # s = -1: row K = 0 ties
+@example((FrequencyVector((1, Fraction(1, 10)), RATIONAL), -2, 3))  # s = -1, the minimum on row K = 0
+@example((FrequencyVector((CTX2.sqrt_d(), 1, 0), CTX2), 1, 3))  # omega_n = 0
+@example((FrequencyVector((1, 0), RATIONAL), Fraction(-5, 2), 4))  # omega_n = 0, s < 0
+@example((FrequencyVector((1, CTX2.sqrt_d(), Fraction(1, 1000)), CTX2), Fraction(-7, 2), 4))  # root far outside the ball
+@example((FrequencyVector((Fraction(-3, 20), Fraction(97, 100)), RATIONAL), -6, 2))  # minimum at (2, 2), far from its row's root
+@example((FrequencyVector((Fraction(1, 10), Fraction(11, 20)), RATIONAL), -9, 4))  # at (4, -4); a bound by |K| alone stops short
+def test_kolmogorov_constant_matches_half_ball_walk_every_n(case):
+    _assert_matches_walk(*case)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_half_ball_is_the_filtered_product(n, N):
+    expected = [I for I in product(range(-N, N + 1), repeat=n) if next((x for x in I if x), 0) > 0]
+    assert list(half_ball(n, N)) == expected
+
+
+def _scored(monkeypatch, omega, nu, N):
+    """The vectors ``kolmogorov_constant`` passes to ``FrequencyVector.dot``, in order."""
+    calls = []
+    dot = FrequencyVector.dot
+
+    def counting_dot(self, I):
+        calls.append(I)
+        return dot(self, I)
+
+    monkeypatch.setattr(FrequencyVector, "dot", counting_dot)
+    kolmogorov_constant(omega, nu, N)
+    return calls
+
+
+OMEGA3 = FrequencyVector((1, CTX2.sqrt_d(), Fraction(311, 99)), CTX2)
+
+
+@pytest.mark.parametrize(
+    "omega, nu, N",
+    [
+        (FrequencyVector((CTX2.sqrt_d(),), CTX2), 1, 9),
+        (FrequencyVector((CTX2.sqrt_d(),), CTX2), -3, 9),
+        (OMEGA_SQRT2, 1, 30),
+        (OMEGA_SQRT2, Fraction(-3, 2), 30),
+        (FrequencyVector((Fraction(3, 7), Fraction(22, 9)), RATIONAL), Fraction(-5, 2), 12),
+        (OMEGA3, 1, 6),
+        (OMEGA3, Fraction(-5, 2), 4),
+    ],
+)
+def test_sweep_scores_in_half_ball_order(monkeypatch, omega, nu, N):
+    position = {I: k for k, I in enumerate(half_ball(omega.n, N))}
+    order = [position[I] for I in _scored(monkeypatch, omega, nu, N)]
+    assert order and all(a < b for a, b in zip(order, order[1:]))
+
+
+@pytest.mark.parametrize(
+    "omega, nu, N, most",
+    [
+        (OMEGA3, 1, 20, 2000),  # the half-ball walk made 34460
+        (OMEGA_SQRT2, Fraction(-3, 2), 200, 1000),  # the half-ball walk made 80400
+    ],
+)
+def test_sweep_scores_few_vectors(monkeypatch, omega, nu, N, most):
+    assert len(_scored(monkeypatch, omega, nu, N)) <= most
 
 
 @pytest.mark.parametrize(
