@@ -18,12 +18,13 @@ from operator import mul
 
 import numpy as np
 
-from .errors import ContextMismatch, InsufficientSupport, ResonantDenominator
+from .errors import ContextMismatch, InsufficientSupport, InvalidInput, ResonantDenominator
 from .scalar import (
     RATIONAL,
     CertifiedDecimal,
     QuadScalar,
     ScalarContext,
+    _make,
     certified_root,
     exact_sign,
     integer_bounds,
@@ -49,24 +50,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FrequencyVector:
+    """Frequencies omega in one context; ``_integers`` is their ``integer_pairing``."""
+
     entries: tuple
     context: ScalarContext
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "entries", tuple(self.context.coerce(x) for x in self.entries)
-        )
+        entries = tuple(self.context.coerce(x) for x in self.entries)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_integers", integer_pairing(entries))
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
     def dot(self, I):
-        out = self.context.zero
-        for w, i in zip(self.entries, I):
-            if i:
-                out = out + w * i
-        return out
+        return _paired(self, I)
 
 
 def integer_pairing(omega) -> tuple[int, tuple, tuple, int]:
@@ -87,13 +86,10 @@ def integer_pairing(omega) -> tuple[int, tuple, tuple, int]:
     return E, a, b, max(radicands, default=0)
 
 
-def _normalize(I):
-    for x in I:
-        if x > 0:
-            return tuple(I)
-        if x < 0:
-            return tuple(-y for y in I)
-    return tuple(I)
+def _paired(omega: FrequencyVector, I) -> QuadScalar:
+    """(omega, I) in omega's context, from the integers of ``integer_pairing``."""
+    E, a, b, _ = omega._integers
+    return _make(sum(map(mul, a, I)), sum(map(mul, b, I)), E, omega.context.d or 0)
 
 
 def half_ball(n: int, N: int):
@@ -127,7 +123,6 @@ class DiophantineEstimate:
     worst: tuple
     min_power: object
     power: int
-    norm_kind: str = "euclidean"
 
     def to_json(self) -> dict:
         return {
@@ -135,7 +130,7 @@ class DiophantineEstimate:
             "nu": str(self.nu),
             "N": self.N,
             "worst": list(self.worst),
-            "norm_kind": self.norm_kind,
+            "norm_kind": "euclidean",
         }
 
 
@@ -305,7 +300,7 @@ def liouville_witness(k: int, nu, m: int) -> LiouvilleWitness:
     if k < 1:
         raise ValueError("index k must be >= 1")
     if m <= k:
-        raise ValueError("tail order m must exceed k")
+        raise InvalidInput("tail order m must exceed k")
     from math import factorial
 
     alpha = sum(Fraction(1, 10 ** factorial(j)) for j in range(m + 1))
@@ -343,14 +338,6 @@ class FourierTable:
             if v < 0:
                 raise ValueError(f"negative magnitude at {I}")
 
-    def to_json(self) -> dict:
-        return {
-            "source": self.source,
-            "coefficients": [
-                [list(I), v] for I, v in sorted(self.coefficients.items())
-            ],
-        }
-
 
 def small_denominator_series(omega: FrequencyVector, N: int) -> FourierTable:
     """The table |(omega, I)|^{-1} for 0 < |I|_sup <= N (all signs kept).
@@ -368,7 +355,7 @@ def small_denominator_series(omega: FrequencyVector, N: int) -> FourierTable:
     """
     if N < 1:
         raise ValueError("lattice cutoff N must be >= 1")
-    E, a, b, d = integer_pairing(omega.entries)
+    E, a, b, d = omega._integers
     E2 = E * E
     keys = list(product(range(-N, N + 1), repeat=omega.n))
     half = len(keys) // 2  # keys[half] = 0 and keys[half + j] = -keys[half - j]
@@ -376,7 +363,7 @@ def small_denominator_series(omega: FrequencyVector, N: int) -> FourierTable:
     for I in keys[:half]:
         A, B = sum(map(mul, a, I)), sum(map(mul, b, I))
         if not A and not B:
-            raise ResonantDenominator(_normalize(I))
+            raise ResonantDenominator(tuple(-x for x in I))
         AA, dBB = A * A, d * B * B
         _, hi, D = integer_bounds(E2 * (AA + dBB), -2 * A * B * E2, d, (AA - dBB) ** 2)
         values.append(root_value(hi, D, 2))
@@ -528,6 +515,8 @@ def measure_estimate(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if R < 0:
+        raise InvalidInput("ball radius R must be >= 0")
     nu = Fraction(nu)
     s = n - 1 + nu
     rng = np.random.default_rng(seed)

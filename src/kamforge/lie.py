@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     BasinExceeded,
     InsufficientSteps,
+    InvalidInput,
     NoConvergence,
     OrthogonalityCheckFailed,
     RankDeficient,
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-10
+ORBIT_CHECKS = 100
 
 
 def _vec(M: np.ndarray) -> np.ndarray:
@@ -87,18 +89,18 @@ def commutant_basis(A: np.ndarray) -> SubspaceBasis:
     return SubspaceBasis(mats=mats)
 
 
-def transversal_from_commutant(A: np.ndarray, checks: int = 100, seed: int = 0) -> SubspaceBasis:
+def transversal_from_commutant(A: np.ndarray, seed: int = 0) -> SubspaceBasis:
     """Transpose of the commutant: the orthogonal space of the adjoint orbit.
 
-    Verifies <[A, X], B^T> = 0 (trace inner product) for random X before
-    returning; failure raises OrthogonalityCheckFailed.
+    Verifies <[A, X], B^T> = 0 (trace inner product) for ``ORBIT_CHECKS``
+    random X per B before returning; failure raises OrthogonalityCheckFailed.
     """
     A = np.asarray(A, dtype=float)
     base = commutant_basis(A)
     rng = np.random.default_rng(seed)
     scale = max(1.0, float(np.linalg.norm(A)))
     for B in base.mats:
-        for _ in range(checks):
+        for _ in range(ORBIT_CHECKS):
             X = rng.standard_normal(A.shape)
             resid = abs(np.trace((A @ X - X @ A) @ B))  # <[A,X], B^T> = Tr([A,X] B)
             if resid > 1e-10 * scale * np.linalg.norm(X) * np.linalg.norm(B):
@@ -135,7 +137,6 @@ class GroupAction:
 
     apply: Callable
     infinitesimal: Callable
-    name: str
 
 
 def vector_action() -> GroupAction:
@@ -143,7 +144,6 @@ def vector_action() -> GroupAction:
     return GroupAction(
         apply=lambda xi, x: matrix_exp(xi) @ x,
         infinitesimal=lambda xi, x: xi @ x,
-        name="gl-vector",
     )
 
 
@@ -152,7 +152,6 @@ def adjoint_action() -> GroupAction:
     return GroupAction(
         apply=lambda xi, x: matrix_exp(xi) @ x @ matrix_exp(-xi),
         infinitesimal=lambda xi, x: xi @ x - x @ xi,
-        name="adjoint",
     )
 
 
@@ -169,7 +168,6 @@ class IterationTrace:
     xi_norms: list = field(default_factory=list)
     alpha_norms: list = field(default_factory=list)
     termination: str = ""
-    norm: str = "frobenius"
     order: float | None = None
     quad_constant: float | None = None
 
@@ -183,7 +181,7 @@ class IterationTrace:
             "xi_norms": self.xi_norms,
             "alpha_norms": self.alpha_norms,
             "termination": self.termination,
-            "norm": self.norm,
+            "norm": "frobenius",
             "order": self.order,
             "quad_constant": self.quad_constant,
         }
@@ -211,15 +209,15 @@ def _fit_order_or_none(trace: IterationTrace) -> float | None:
         return None
 
 
-def _iterate(a, b, step, max_iter, tol, basin_radius):
+def _iterate(a, b, step, max_iter, tol):
     """The Lie loop shared by both iterations.
 
     ``step(b_n, trace)`` returns (xi_n, b_{n+1}) and may record extra
     per-step norms in ``trace``.  The loop stops once |b| <= tol; it raises
     NoConvergence on a non-finite |b|, or when ``max_iter`` steps did not
-    reduce it.
+    reduce it, and BasinExceeded when |b| exceeds ``default_basin_radius(a)``.
     """
-    basin = default_basin_radius(a) if basin_radius is None else basin_radius
+    basin = default_basin_radius(a)
     if np.linalg.norm(b) > basin:
         raise BasinExceeded(f"|b| = {np.linalg.norm(b):.3e} exceeds basin {basin:.3e}")
     trace = IterationTrace()
@@ -252,8 +250,6 @@ def lie_iterate_homogeneous(
     j: Callable,
     max_iter: int = 40,
     tol: float = 1e-12,
-    basin_radius: float | None = None,
-    seed: int = 0,
 ):
     """Homogeneous Lie iteration: xi_n = j(b_n), b_{n+1} = e^{-xi_n}(a + b_n) - a.
 
@@ -263,18 +259,18 @@ def lie_iterate_homogeneous(
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(8):
         v = rng.standard_normal(b.shape)
         err = np.linalg.norm(action.infinitesimal(j(v), a) - v)
         if not err <= 1e-10 * np.linalg.norm(v):  # a NaN error fails too
-            raise ValueError("j is not a right inverse of the infinitesimal action")
+            raise InvalidInput("j is not a right inverse of the infinitesimal action")
 
     def step(bn, trace):
         xi = j(bn)
         return xi, action.apply(-xi, a + bn) - a
 
-    return _iterate(a, b, step, max_iter, tol, basin_radius)
+    return _iterate(a, b, step, max_iter, tol)
 
 
 def lie_iterate_parametric(
@@ -283,7 +279,6 @@ def lie_iterate_parametric(
     transversal: SubspaceBasis,
     max_iter: int = 40,
     tol: float = 1e-12,
-    basin_radius: float | None = None,
 ):
     """Parametric Lie iteration for the adjoint action along a transversal.
 
@@ -318,7 +313,7 @@ def lie_iterate_parametric(
         an = an1
         return xi, bn
 
-    gens, trace = _iterate(a, b, step, max_iter, tol, basin_radius)
+    gens, trace = _iterate(a, b, step, max_iter, tol)
     return gens, an - a, trace
 
 

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
-from .diophantine import half_ball, integer_pairing
+from .diophantine import FrequencyVector, _paired, half_ball, integer_pairing
 from .errors import DegenerateAlpha, InvalidInput, ResonantDenominator
 from .scalar import CertifiedDecimal, certified_root, exact_sign
 from .series import Generator, PoissonSeries, drop_count, flow_apply, poisson_bracket
@@ -78,13 +79,13 @@ class IntegrableHamiltonian:
     def n(self) -> int:
         return self.series.trunc.n
 
+    @cached_property
+    def _frequencies(self) -> FrequencyVector:
+        return FrequencyVector(self.omega, self.series.context)
+
     def pairing(self, I):
         """The scalar product (omega, I) for an integer vector I."""
-        out = self.series.context.zero
-        for w, i in zip(self.omega, I):
-            if i:
-                out = out + w * i
-        return out
+        return _paired(self._frequencies, I)
 
 
 def resonances(omega, N: int) -> list[tuple]:
@@ -141,7 +142,7 @@ def homological_solve(H: IntegrableHamiltonian, R: PoissonSeries, p_cap: int):
             val = pairings[I] = -val
         return val
 
-    S, defect = R._like({}), R
+    S, defect = R._raw(1, {}), R
     for m in range(0, p_cap + 1):
         corr = defect.divided(divisor)
         if not corr.is_zero():
@@ -235,7 +236,7 @@ def _iterate(H: IntegrableHamiltonian, Q: PoissonSeries, p_cap: int, two_alpha=N
                 eliminated += nonzero
         if eliminated or two_alpha is not None:
             per_order.append({"t_order": m, "eliminated": eliminated})
-    zero = current._like({})
+    zero = current._raw(1, {})
     return NormalFormResult(
         generators=generators,
         normal=current,
@@ -261,45 +262,42 @@ def formal_normal_form(H: IntegrableHamiltonian, Q: PoissonSeries) -> NormalForm
     return res
 
 
+def _eliminate(A) -> object:
+    """Gauss-Jordan in place on the rows A of an n x m matrix, m >= n.
+
+    A nonsingular left n x n block ends as the identity, with the solution
+    to its right.  Returns that block's determinant: the product of the
+    pivots, negated per row swap, or 0 once a column has no pivot.
+    """
+    n = len(A)
+    det = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if exact_sign(A[r][col]) != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            A[col], A[piv] = A[piv], A[col]
+            det = -det
+        pivval = A[col][col]
+        det = det * pivval
+        A[col] = [x / pivval for x in A[col]]
+        for r in range(n):
+            if r != col and (f := A[r][col]):
+                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
+    return det
+
+
 def exact_det(matrix) -> object:
-    """Determinant over the scalar field by fraction-free expansion (small n)."""
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    out = None
-    for j in range(n):
-        c = matrix[0][j]
-        if not c:
-            continue
-        minor = [
-            [matrix[i][jj] for jj in range(n) if jj != j] for i in range(1, n)
-        ]
-        term = c * exact_det(minor)
-        if j % 2:
-            term = -term
-        out = term if out is None else out + term
-    if out is None:
-        out = matrix[0][0] - matrix[0][0]  # typed zero
-    return out
+    """Determinant over the scalar field, by ``_eliminate`` on a copy."""
+    return _eliminate([list(row) for row in matrix])
 
 
 def solve_linear(matrix, rhs, ctx):
     """Exact Gaussian elimination for A x = rhs over the scalar field."""
     n = len(rhs)
     A = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next(
-            (r for r in range(col, n) if exact_sign(A[r][col]) != 0), None
-        )
-        if piv is None:
-            raise DegenerateAlpha("singular linear system")
-        A[col], A[piv] = A[piv], A[col]
-        pivval = A[col][col]
-        A[col] = [x / pivval for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col]:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
+    if not _eliminate(A):
+        raise DegenerateAlpha("singular linear system")
     return tuple(ctx.coerce(A[i][n]) for i in range(n))
 
 
@@ -315,10 +313,8 @@ def kolmogorov_normal_form(H: IntegrableHamiltonian, Q: PoissonSeries) -> Normal
     """
     H.series._check(Q)
     two_alpha = tuple(tuple(x * 2 for x in row) for row in H.alpha)
-    try:
-        solve_linear(two_alpha, (Q.context.zero,) * Q.trunc.n, Q.context)
-    except DegenerateAlpha:
-        raise DegenerateAlpha("quadratic part alpha is not invertible") from None
+    if not exact_det(two_alpha):
+        raise DegenerateAlpha("quadratic part alpha is not invertible")
     res = _iterate(H, Q, p_cap=1, two_alpha=two_alpha)
     zero = (0,) * Q.trunc.n
     res.casimir = res.normal.select(lambda I, J, k: I == J == zero and k >= 1)

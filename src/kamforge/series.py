@@ -243,10 +243,6 @@ class PoissonSeries:
             num = {P: (a // g, b // g) for P, (a, b) in num.items()}
         return self._raw(D, num)
 
-    def _like(self, terms) -> "PoissonSeries":
-        """A series like self with the given {(I, J, k): scalar} terms."""
-        return PoissonSeries(self.context, self.trunc, self.mode, terms)
-
     def _grades(self) -> dict:
         """The terms as (P, I, J, a, b) lists keyed by (t-degree, p-degree),
         built on first use."""

@@ -236,6 +236,11 @@ BAD_INPUT = {
     "boolean-in-omega": _resonances({"mode": "rational"}, [True, "1"]),
     "boolean-literal-in-term": _formal(1, [[[0], [1], 0, True]], []),
     "float-in-omega": _resonances({"mode": "rational"}, [0.5, "1"]),
+    "liouville-m-not-above-k": {"kind": "liouville", "k_values": [3], "nu": "1", "m": 3},
+    "measure-negative-R": {**MEASURE, "R": -1, "C_values": [0.1], "nu": "1"},
+    # |a|^2 underflows to 0, and a tiny |a|^2 leaves j no right inverse in floats
+    "lie-homogeneous-underflowing-a": {"kind": "lie-homogeneous", "a": [5e-324], "b": [0.0]},
+    "lie-homogeneous-tiny-a": {"kind": "lie-homogeneous", "a": [1e-160], "b": [0.0]},
 }
 # the other cases end in InvalidInput with exit 1
 EXPECTED = {

@@ -159,7 +159,6 @@ def test_non_finite_error_is_no_convergence():
     broken = GroupAction(
         apply=lambda xi, x: np.full_like(x, np.nan),
         infinitesimal=vector_action().infinitesimal,
-        name="broken",
     )
     with pytest.raises(NoConvergence):
         lie_iterate_homogeneous(broken, a, np.array([0.1]), _projection_j(a))
@@ -228,7 +227,7 @@ def test_parametric_rank_deficient():
     a = np.zeros((2, 2))  # [xi, 0] = 0, orbit is {0}; need the full 4-dim transversal
     tv = SubspaceBasis(mats=(np.eye(2) / np.sqrt(2.0),))
     with pytest.raises(RankDeficient):
-        lie_iterate_parametric(a, 0.01 * np.eye(2), tv, basin_radius=1.0)
+        lie_iterate_parametric(a, 0.01 * np.eye(2), tv)
 
 
 def test_convergence_order():

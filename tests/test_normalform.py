@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -16,6 +17,7 @@ from kamforge import (
     poisson_bracket,
     resonances,
 )
+from kamforge.diophantine import FrequencyVector
 from kamforge.errors import DegenerateAlpha, ResonantDenominator
 from kamforge.normalform import exact_det, solve_linear
 from kamforge.scalar import RATIONAL, quadratic
@@ -260,6 +262,114 @@ def test_shift_solvability_matches_surjectivity():
         d = solve_linear(two_alpha, e, RATIONAL)
         back = [sum(two_alpha[r][c] * d[c] for c in range(2)) for r in range(2)]
         assert back == e
+
+
+def cofactor_det(M):
+    """Reference determinant by expansion along the first row."""
+    if len(M) == 1:
+        return M[0][0]
+    minors = ([row[:j] + row[j + 1 :] for row in M[1:]] for j in range(len(M)))
+    return sum((-1) ** j * M[0][j] * cofactor_det(m) for j, m in enumerate(minors))
+
+
+def elimination_matrices():
+    """Matrices over Q and Q(sqrt 2), n <= 4: fixed pivoting and singular
+    cases, then random ones with zeros, some made singular by a row sum."""
+    s2 = CTX2.sqrt_d()
+    out = [
+        (RATIONAL, [[0, 1], [1, 0]]),  # one swap
+        (RATIONAL, [[0, 0, 1], [0, 1, 0], [1, 0, 0]]),
+        (RATIONAL, [[0, 1, 2], [0, 3, 4], [5, 6, 7]]),  # pivot from the last row
+        (RATIONAL, [[1, 2], [2, 4]]),  # singular
+        (RATIONAL, [[1, 1, 0], [1, 1, 0], [0, 0, 1]]),  # no pivot in column 1
+        (RATIONAL, [[0, 0], [0, 0]]),
+        (CTX2, [[s2, 1], [2, s2]]),  # det 2 - 2 = 0
+        (CTX2, [[0, s2], [1 + s2, 3]]),
+    ]
+    out = [(ctx, [[ctx.coerce(x) for x in row] for row in M]) for ctx, M in out]
+    rng = random.Random(15)
+
+    def entry(ctx):
+        if rng.random() < 0.3:
+            return ctx.zero
+        a = ctx.coerce(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        return a + s2 * rng.randint(-2, 2) if ctx is CTX2 else a
+
+    for ctx in (RATIONAL, CTX2):
+        for n in range(1, 5):
+            for singular in (False, True):
+                M = [[entry(ctx) for _ in range(n)] for _ in range(n)]
+                if singular and n >= 2:
+                    M[-1] = [x + y for x, y in zip(M[0], M[1 % (n - 1)])]
+                out.append((ctx, M))
+    return out
+
+
+@pytest.mark.parametrize("ctx, M", elimination_matrices())
+def test_elimination_matches_cofactor_expansion(ctx, M):
+    before = [list(row) for row in M]
+    det = exact_det(M)
+    assert det == cofactor_det(M)
+    assert M == before  # exact_det eliminates on a copy
+    rhs = [ctx.coerce(i - 1) for i in range(len(M))]
+    if not det:
+        with pytest.raises(DegenerateAlpha):
+            solve_linear(M, rhs, ctx)
+        return
+    x = solve_linear(M, rhs, ctx)
+    assert [sum(a * b for a, b in zip(row, x)) for row in M] == rhs
+
+
+def pairing_cases():
+    s2, s3 = CTX2.sqrt_d(), quadratic(3).sqrt_d()
+    return [
+        (RATIONAL, [Fraction(1), Fraction(-2, 3), Fraction(5, 7)]),
+        (RATIONAL, [Fraction(0), Fraction(3, 4)]),
+        (CTX2, [CTX2.one, s2, CTX2.zero]),
+        (CTX2, [s2 * Fraction(1, 3) + Fraction(1, 2), Fraction(-5, 6), s2]),
+        (quadratic(3), [Fraction(2, 5), s3 - 1, Fraction(0)]),
+        (CTX2, [Fraction(1), Fraction(3, 2), Fraction(-1, 5)]),  # rational omega in Q(sqrt 2)
+    ]
+
+
+@pytest.mark.parametrize("ctx, omega", pairing_cases())
+def test_pairing_equals_scalar_sum(ctx, omega):
+    n = len(omega)
+    fv = FrequencyVector(tuple(omega), ctx)
+    tr = TruncationSpec(n=n, Dp=2, Dt=1, Nq=1)
+    zero_I = (0,) * n
+    terms = {(zero_I, tuple(int(i == j) for i in range(n)), 0): w for j, w in enumerate(omega)}
+    H = integrable(ctx, tr, terms)
+    for I in product(range(-3, 4), repeat=n):
+        want = ctx.zero
+        for w, i in zip(omega, I):
+            want = want + ctx.coerce(w) * i
+        for got in (fv.dot(I), H.pairing(I)):
+            assert got == want and hash(got) == hash(want)
+            assert (got.a, got.b, got.den, got.d) == (want.a, want.b, want.den, want.d)
+
+
+def test_normal_forms_make_no_frequency_vector_dot_calls(monkeypatch):
+    calls = []
+    dot = FrequencyVector.dot
+    monkeypatch.setattr(FrequencyVector, "dot", lambda self, I: calls.append(I) or dot(self, I))
+    tr = TruncationSpec(n=2, Dp=3, Dt=2, Nq=2)
+    H = integrable(
+        CTX2,
+        tr,
+        {
+            ((0, 0), (1, 0), 0): 1,
+            ((0, 0), (0, 1), 0): CTX2.sqrt_d(),
+            ((0, 0), (2, 0), 0): Fraction(1, 2),
+            ((0, 0), (0, 2), 0): Fraction(1, 2),
+        },
+    )
+    Q = series(CTX2, tr, {((1, 0), (0, 0), 0): 1, ((1, -1), (1, 0), 0): 2, ((0, 0), (0, 1), 0): 1})
+    assert formal_normal_form(H, Q).generators
+    assert kolmogorov_normal_form(H, Q).generators
+    assert calls == []
+    FrequencyVector(H.omega, CTX2).dot((1, 1))  # the patch counts
+    assert calls == [(1, 1)]
 
 
 def test_normal_space_class_basis_directions():
