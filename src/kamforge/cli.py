@@ -24,7 +24,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__, diophantine, lie, normalform, series
-from .errors import InvalidInput, KamError, NonFiniteResult, ResonantDenominator, SchemaError
+from .errors import InvalidInput, KamError, NonFiniteResult, ResonantDenominator, ResultTooLarge, SchemaError
 from .normalform import IntegrableHamiltonian
 from .scalar import RATIONAL, ScalarContext, parse_literal, quadratic
 from .series import Generator, PoissonSeries, TruncationSpec, compose_flows, poisson_bracket
@@ -137,7 +137,10 @@ def validate_scenario(obj) -> str:
     validator = _VALIDATORS.get(kind) if isinstance(kind, str) else None
     if validator is None:
         raise SchemaError(f"unknown scenario kind {kind!r}")
-    error = jsonschema.exceptions.best_match(validator.iter_errors(obj))
+    try:
+        error = jsonschema.exceptions.best_match(validator.iter_errors(obj))
+    except RecursionError:  # a value nested almost as deep as json.load reads
+        raise SchemaError(f"scenario is nested too deeply to check against the {kind!r} schema") from None
     if error is not None:
         raise SchemaError(f"scenario does not match the {kind!r} schema: {error.message}")
     return kind
@@ -467,16 +470,109 @@ def selftest(seed: int = 0) -> dict:
 # report plumbing
 
 
-def _dumps(report: dict) -> str:
-    """The report as strict JSON text; a non-finite float raises NonFiniteResult."""
+_encode_str = json.encoder.encode_basestring_ascii  # the C function json.dumps uses
+# _INDENTS[depth] is (newline, separator): "\n" plus two spaces per level of
+# depth, and the same after a comma; grown on first use of a depth
+_INDENTS = [("\n", ",\n")]
+
+
+def _dumps(report) -> str:
+    """The report as strict JSON text.
+
+    The text is exactly ``json.dumps(report, sort_keys=True, indent=2,
+    allow_nan=False)`` plus a newline, written by ``_container`` in a
+    fraction of the time of the pure-Python encoder that ``indent`` forces
+    ``json`` onto.  A non-finite float raises NonFiniteResult, and an
+    integer longer than the interpreter's digit limit raises
+    ResultTooLarge.
+    """
+    out = []
     try:
-        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise NonFiniteResult(f"a result is not a finite number ({exc})") from None
+        if isinstance(report, (dict, list, tuple)):
+            _container(report, 0, out)
+        else:
+            out.append(_scalar(report))
+    except ValueError:  # only int.__repr__ raises it, past sys.get_int_max_str_digits()
+        raise ResultTooLarge(
+            f"a result is an integer of more than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's limit for writing one"
+        ) from None
+    out.append("\n")
+    return "".join(out)
 
 
-def _write_report(text: str, out_path: str | None) -> None:
-    """Write the report atomically, or in place when the target is not a regular file."""
+def _container(obj, depth: int, out: list) -> None:
+    """Append a dict, list or tuple at nesting ``depth`` to ``out`` as indent-2 JSON text.
+
+    Dict keys are strings, as in every report.  Each nesting level costs
+    one frame, so any depth json.load reads can be written: the items are
+    encoded in this loop, strings and ints inline, and only a nested
+    container recurses.  The pieces are joined once, by the caller, so
+    deep nesting is not copied level by level.
+    """
+    if not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+        return
+    depth += 1
+    if depth == len(_INDENTS):
+        newline = _INDENTS[-1][0] + "  "
+        _INDENTS.append((newline, "," + newline))
+    newline, separator = _INDENTS[depth]
+    append = out.append
+    is_dict = isinstance(obj, dict)
+    append(("{" if is_dict else "[") + newline)
+    for value in sorted(obj) if is_dict else obj:
+        if is_dict:  # so far the key
+            append(_encode_str(value) + ": ")
+            value = obj[value]
+        cls = type(value)
+        if cls is str:
+            append(_encode_str(value))
+        elif cls is int:
+            append(int.__repr__(value))
+        elif cls is list or cls is dict or isinstance(value, (dict, list, tuple)):
+            _container(value, depth, out)
+        else:
+            append(_scalar(value))
+        append(separator)
+    out[-1] = _INDENTS[depth - 1][0] + ("}" if is_dict else "]")  # in place of the last separator
+
+
+def _scalar(value) -> str:
+    """A string, number, bool or None as JSON text."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise NonFiniteResult(
+                "a result is not a finite number "
+                f"(Out of range float values are not JSON compliant: {value!r})"
+            )
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_report(text: str, out_path: str | None, status: int) -> int:
+    """Write the report and return ``status``, or 2 when it cannot be written."""
+    try:
+        _write(text, out_path)
+    except OSError as exc:
+        target = "standard output" if out_path is None else out_path
+        sys.stderr.write(f"kamforge: cannot write report: {target}: {exc.strerror or exc}\n")
+        return 2
+    return status
+
+
+def _write(text: str, out_path: str | None) -> None:
+    """Write to stdout, replace a report file atomically, or write in place to a device or FIFO."""
     if out_path is None:
         sys.stdout.write(text)
         return
@@ -501,7 +597,7 @@ def run_scenario(path: str, out: str | None = None, timings: bool = False) -> in
     try:
         with open(path) as fh:
             raw = json.load(fh, parse_float=_finite, parse_int=_integer, parse_constant=_finite)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # nested past the stack
         sys.stderr.write(f"kamforge: cannot read scenario: {exc}\n")
         return 2
     except SchemaError as exc:  # the report cannot echo a non-finite number
@@ -528,8 +624,7 @@ def _integer(text: str) -> int:
 def _schema_error(raw, exc: SchemaError, out: str | None) -> int:
     sys.stderr.write(f"kamforge: {exc}\n")
     error = {"type": "SchemaError", "message": str(exc)}
-    _write_report(_dumps({"scenario": raw, "version": __version__, "error": error}), out)
-    return 2
+    return _write_report(_dumps({"scenario": raw, "version": __version__, "error": error}), out, 2)
 
 
 def _execute(raw, out: str | None, timings: bool) -> int:
@@ -558,10 +653,8 @@ def _execute(raw, out: str | None, timings: bool) -> int:
             if exc.t_order is not None:
                 err["t_order"] = exc.t_order
         report["error"] = err
-        _write_report(_dumps(report), out)
-        return 1
-    _write_report(text, out)
-    return 0 if results.get("all_pass", True) else 1
+        return _write_report(_dumps(report), out, 1)
+    return _write_report(text, out, 0 if results.get("all_pass", True) else 1)
 
 
 @cache

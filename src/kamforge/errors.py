@@ -65,6 +65,10 @@ class NonFiniteResult(KamError):
     """A result is NaN or infinite, which a strict JSON report cannot hold."""
 
 
+class ResultTooLarge(KamError):
+    """A result is an integer too long for the interpreter to write as text."""
+
+
 class SchemaError(KamError):
     """A scenario file does not validate against its kind's schema."""
 

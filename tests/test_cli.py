@@ -329,6 +329,62 @@ def test_report_to_fifo_is_written_in_place(tmp_path):
     assert received == [expected.read_text()]
 
 
+UNWRITABLE_RUNS = {  # one per write path: success, structured error, schema error, selftest
+    "report": ["run", KNF],
+    "error-report": ["run", BAD_INPUT["zero-denominator"]],
+    "schema-error": ["run", {"kind": "formal-nf"}],
+    "selftest": ["selftest"],
+}
+
+
+@pytest.mark.parametrize("target", ["directory", "missing/dir/r.json"])
+@pytest.mark.parametrize("path", sorted(UNWRITABLE_RUNS))
+def test_unwritable_out_exits_2_without_temporary_files(tmp_path, capsys, target, path):
+    out = tmp_path / target
+    if target == "directory":
+        out.mkdir()
+    argv = [write(tmp_path, "s.json", x) if isinstance(x, dict) else x for x in UNWRITABLE_RUNS[path]]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"kamforge: cannot write report: {out}: ")
+    assert list(tmp_path.rglob(".kamforge-*")) == []
+
+
+@pytest.mark.parametrize("field", ["x", "seed"])  # an extra field, and one the schema checks
+def test_deeply_nested_scenario_is_refused_or_echoed(tmp_path, capsys, field):
+    # json.load stops at the interpreter's recursion limit; a file it reads
+    # is echoed whole into its SchemaError report, and one it cannot read
+    # is refused like malformed JSON
+    scen, out = tmp_path / "s.json", tmp_path / "r.json"
+    echoed = []
+    for depth in range(900, 1101):
+        scen.write_text(f'{{"kind": "selftest", "{field}": ' + "[" * depth + "]" * depth + "}")
+        out.unlink(missing_ok=True)
+        assert main(["run", str(scen), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        if err.startswith(("kamforge: scenario does not match", "kamforge: scenario is nested too deeply")):
+            text = out.read_text()
+            assert '"type": "SchemaError"' in text and text.count("[\n") == depth - 1  # then "[]"
+            echoed.append(depth)
+        else:
+            assert err.startswith("kamforge: cannot read scenario: maximum recursion depth exceeded")
+            assert not out.exists()
+    assert echoed == list(range(900, 900 + len(echoed)))  # every depth json.load reads
+    assert 0 < len(echoed) < 201
+
+
+def test_integer_past_the_digit_limit_is_a_structured_error(tmp_path, capsys):
+    # the witness's beta is 10^5040, more digits than int() may write
+    scen = write(tmp_path, "s.json", {"kind": "liouville", "k_values": [7], "nu": 1, "m": 8})
+    out = tmp_path / "r.json"
+    assert main(["run", scen, "--out", str(out)]) == 1
+    limit = sys.get_int_max_str_digits()
+    assert json.loads(out.read_text())["error"] == {
+        "type": "ResultTooLarge",
+        "message": f"a result is an integer of more than {limit} digits, the interpreter's limit for writing one",
+    }
+    assert capsys.readouterr().err == ""
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "kamforge.cli"],
