@@ -621,9 +621,16 @@ def _integer(text: str) -> int:
         raise SchemaError(f"scenario holds an integer of {len(text.lstrip('-'))} digits") from None
 
 
+# a schema error can quote an offending value of any size; its message keeps this many characters
+_MESSAGE_CHARS = 200
+
+
 def _schema_error(raw, exc: SchemaError, out: str | None) -> int:
-    sys.stderr.write(f"kamforge: {exc}\n")
-    error = {"type": "SchemaError", "message": str(exc)}
+    message = str(exc)
+    if len(message) > _MESSAGE_CHARS:
+        message = f"{message[:_MESSAGE_CHARS]}... ({len(message) - _MESSAGE_CHARS} more characters cut)"
+    sys.stderr.write(f"kamforge: {message}\n")
+    error = {"type": "SchemaError", "message": message}
     return _write_report(_dumps({"scenario": raw, "version": __version__, "error": error}), out, 2)
 
 

@@ -11,6 +11,14 @@ iteration kills all q-dependence (a central Poisson automorphism taking
 H + tQ into K[[p, t]]); the truncated Kolmogorov normal form kills only
 the part of p-degree <= 1 and adds a translation per order, leaving
 H + c(t) + (ideal-square remainder).
+
+The homological equation {H, S} + R = residual is solved per Fourier
+mode.  For H in K[[p]], {H, q^I p^J t^k} = L_I(p) q^I p^J t^k with
+L_I(0) = (omega, I), so each mode I of R is a triangular power-series
+division by L_I, in ascending p-degree, on integer numerators; no
+generic bracket is needed.  Terms past Dp are counted as the bracket
+{H, S} would drop them, and a resonant mode is named at its lowest
+p-degree, first in R's order (``homological_solve``).
 """
 
 from __future__ import annotations
@@ -18,12 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import mul
 
 from .diophantine import FrequencyVector, _paired, half_ball, integer_pairing
 from .errors import DegenerateAlpha, InvalidInput, ResonantDenominator
 from .scalar import CertifiedDecimal, certified_root, exact_sign
-from .series import Generator, PoissonSeries, drop_count, flow_apply, poisson_bracket
+from .series import Generator, PoissonSeries, _note_drop, drop_count, flow_apply
 
 __all__ = [
     "IntegrableHamiltonian",
@@ -113,42 +122,118 @@ def _min_abs_update(best, value):
 
 
 def homological_solve(H: IntegrableHamiltonian, R: PoissonSeries, p_cap: int):
-    """Solve {H, S} + R = residual triangularly in ascending p-degree.
+    """Solve {H, S} + R = residual by division per Fourier mode, in ascending p-degree.
 
-    S is supported on I != 0 with p-degree <= p_cap; the residual is what
-    cannot or need not be killed: the averaged part of R plus terms of
-    p-degree > p_cap.  A running defect starts at R.  At p-degree m its
-    I != 0 terms, divided by -(omega, I), give the correction; it joins S,
-    and its bracket {H, correction} joins the defect.  H lies in K[[p]],
-    so that bracket has p-degree >= m, and its degree-m part, (omega, I)
-    times the correction, cancels the defect there: later corrections
-    never disturb a degree already solved.  The bracket is bilinear and
-    the window cut keeps or drops each key on its own, so the running
-    defect is {H, S} + R exactly, and each correction is bracketed once.
+    In torus mode {H, q^I p^J t^k} = L_I(p) q^I p^J t^k for H = sum h_K p^K,
+    with L_I(p) = sum_K h_K sum_j K_j I_j p^(K - e_j).  Its constant term
+    is (omega, I); the rest, L+_I, comes from the terms |K| >= 2 and raises
+    the p-degree by |K| - 1.  So every mode I is a triangular power-series
+    division by L_I: a defect X starts at R, and at each p-degree
+    m = 0 .. p_cap the terms S_{I,m} = -X_{I,m} / (omega, I) join S while
+    L+_I S_{I,m} joins X at the degrees above m.  S is supported on I != 0
+    with p-degree <= p_cap, and the residual {H, S} + R is X above p_cap
+    plus the averaged (I = 0) part of R.
+
+    Drops: each term of L+_I S_{I,m} past Dp is dropped and counted, one
+    per S term and per term K, coordinate j of H with K_j I_j != 0 and
+    |K| + m - 1 > Dp; that is the drop count of ``poisson_bracket(H.series,
+    S)``.  Resonance: the first term of the lowest p-degree <= p_cap, in
+    R's order, whose mode has (omega, I) = 0 raises ResonantDenominator; a
+    mode lying wholly above p_cap is left in the residual.  Order: within
+    a degree X keeps its terms in the order they first appear, as a
+    running sum of series would: R's terms, then those L+ creates, in the
+    order of the loops over H's p-degree groups, S's t-degrees, H's terms,
+    S's terms and j.  S takes that order degree by degree.  The flows
+    built on S inherit it, and later t-orders name their resonances by
+    it.
+
+    Integers: H = sum (u_K + v_K sqrt(d)) p^K / E, so (omega, I) =
+    (A + B sqrt(d)) / E with A = sum_j I_j u_{e_j}, B likewise, and
+    -1/(omega, I) = E (c + c' sqrt(d)) / N with N = A (B = 0) or the norm
+    A^2 - d B^2.  Each mode keeps its pending terms over one denominator
+    D_I, multiplied by N only when an L+ term arrives; S_{I,m} is over
+    D_I N.  S and the residual are each gathered once over the lcm of
+    their denominators.
     """
     H.series._check(R)
-    zero_I = (0,) * R.trunc.n
-    pairings = {}
+    if R.mode != "torus":
+        raise InvalidInput("homological_solve divides per Fourier mode, so R must be in torus mode")
+    keys, Dp, n = R.trunc._keys, R.trunc.Dp, R.trunc.n
+    d, E, D0, eJ = R.context.d or 0, H.series._den, R._den, keys.eJ
+    coords = range(n)
+    u1, v1 = [0] * n, [0] * n  # omega_j = (u1[j] + v1[j] sqrt(d)) / E
+    plus = []  # per p-degree group of H above 1: (|K| - 1, terms, per j the terms with K_j != 0)
+    for (_, p), group in H.series._grades().items():
+        if p == 1:
+            for _, _, K, u, v in group:
+                j = K.index(1)
+                u1[j], v1[j] = u, v
+        else:
+            terms = [(P - keys.base, K, u, v) for P, _, K, u, v in group]
+            plus.append((p - 1, terms, [sum(1 for t in terms if t[1][j]) for j in coords]))
+    levels = [{} for _ in range(Dp + 1)]  # X's I != 0 terms per p-degree
+    averaged = {}
+    for P, pair in R._num.items():
+        I, _, _, p, _ = keys[P]
+        (levels[p] if any(I) else averaged)[P] = pair
+    divisors, den, S, drops = {}, {}, [], 0
+    for m in range(min(p_cap, Dp) + 1):
+        corr = {}  # per t-degree k: (P, I, x, y) with S_{I,m} = E (x + y sqrt(d)) / (D_I N)
+        for P, (x, y) in levels[m].items():
+            I, _, k, _, _ = keys[P]
+            div = divisors.get(I)
+            if div is None:
+                A, B = sum(map(mul, I, u1)), sum(map(mul, I, v1))
+                c, c2, N = (-A, B, A * A - d * B * B) if B else (-1, 0, A)
+                if not N:
+                    raise ResonantDenominator(I)
+                div = divisors[I] = (c, c2, N) if N > 0 else (-c, -c2, -N)
+            c, c2, N = div
+            x, y = x * c + d * y * c2, x * c2 + y * c
+            corr.setdefault(k, []).append((P, I, x, y))
+            S.append((P, E * x, E * y, den.get(I, D0) * N))
+        added = {}
+        for shift, terms, nzK in plus:
+            if m + shift > Dp:  # every term of this group lands past Dp
+                nzI = [sum(1 for g in corr.values() for _, I, _, _ in g if I[j]) for j in coords]
+                drops += sum(map(mul, nzK, nzI))
+                continue
+            for group in corr.values():
+                for PK, K, u, v in terms:
+                    for P, I, x, y in group:
+                        for j in coords:
+                            w = K[j] * I[j]
+                            if w:
+                                T = P + PK - eJ[j]
+                                a, b = added.get(T, (0, 0))
+                                added[T] = (a + w * (u * x + d * v * y), b + w * (u * y + v * x))
+        arrived = {keys[T][0] for T in added}
+        for level in levels[m + 1:]:  # pending terms of a mode move to D_I N
+            for P, (x, y) in level.items():
+                I = keys[P][0]
+                if I in arrived:
+                    N = divisors[I][2]
+                    level[P] = (x * N, y * N)
+        for I in arrived:
+            den[I] = den.get(I, D0) * divisors[I][2]
+        for T, (x, y) in added.items():
+            level = levels[keys[T][3]]
+            a, b = level.get(T, (0, 0))
+            if a + x or b + y:
+                level[T] = (a + x, b + y)
+            else:
+                level.pop(T, None)
+    _note_drop(drops)
+    residual = [(P, a, b, D0) for P, (a, b) in averaged.items()]
+    for level in levels[p_cap + 1:]:
+        residual += [(P, a, b, den.get(keys[P][0], D0)) for P, (a, b) in level.items()]
+    return _gathered(R, S), _gathered(R, residual)
 
-    def divisor(I, J, k):
-        """-(omega, I) for the terms solved at the current p-degree m, else None."""
-        if I == zero_I or sum(J) != m:
-            return None
-        val = pairings.get(I)
-        if val is None:
-            val = H.pairing(I)
-            if exact_sign(val) == 0:
-                raise ResonantDenominator(I)
-            val = pairings[I] = -val
-        return val
 
-    S, defect = R._raw(1, {}), R
-    for m in range(0, p_cap + 1):
-        corr = defect.divided(divisor)
-        if not corr.is_zero():
-            S = S + corr
-            defect = defect + poisson_bracket(H.series, corr)
-    return S, defect
+def _gathered(like: PoissonSeries, parts) -> PoissonSeries:
+    """The series of the terms (P, a, b, D), each (a + b sqrt(d)) / D, over the lcm of the D's."""
+    L = lcm(*{D for _, _, _, D in parts})
+    return like._reduced(L, {P: (a * (L // D), b * (L // D)) for P, a, b, D in parts})
 
 
 @dataclass

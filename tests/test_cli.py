@@ -103,6 +103,65 @@ def test_resonant_failure_is_report_not_crash(tmp_path, kind):
     assert err["vector"] == [2, 1] and err["t_order"] == 1
 
 
+def _resonant_nf(kind, Dp, Dt, omega, Q, extra_H=()):
+    H = [
+        [[0, 0], [1, 0], 0, omega[0]],
+        [[0, 0], [0, 1], 0, omega[1]],
+        [[0, 0], [2, 0], 0, "1/2"],
+        [[0, 0], [0, 2], 0, "1/2"],
+        *extra_H,
+    ]
+    trunc = {"n": 2, "Dp": Dp, "Dt": Dt, "Nq": 4}
+    return {"kind": kind, "context": {"mode": "rational"}, "trunc": trunc, "H": H, "Q": Q}
+
+
+# Several modes are resonant at the lowest p-degree of a later t-order.  The
+# report names the first of them in the storage order that the generators and
+# flows of the earlier orders leave, so these vectors pin that order.
+LATER_RESONANCES = {
+    "formal-t2": (
+        _resonant_nf("formal-nf", 3, 3, ["1", "1"], [
+            [[-2, 0], [0, 0], 0, "1"], [[-2, 1], [0, 0], 0, "3/2"], [[-1, 2], [0, 0], 0, "1/2"],
+            [[0, -1], [1, 1], 0, "4"], [[0, 0], [0, 1], 0, "5"], [[0, 1], [1, 0], 0, "-1/3"],
+            [[0, 1], [1, 1], 0, "2"], [[1, 0], [1, 0], 0, "-4"],
+        ], extra_H=[[[0, 0], [1, 1], 0, "5"]]),
+        [-2, 2], 2,
+    ),
+    "formal-t3": (
+        _resonant_nf("formal-nf", 3, 4, ["2", "-1"], [
+            [[-1, 0], [0, 1], 0, "3/2"], [[0, 2], [0, 0], 0, "1/4"], [[1, -1], [0, 0], 0, "-1"],
+            [[1, 1], [1, 0], 0, "-1/2"], [[2, 0], [1, 1], 0, "1/2"],
+        ]),
+        [2, 4], 3,
+    ),
+    "kolmogorov-t3": (
+        _resonant_nf("kolmogorov-nf", 2, 3, ["1", "1"], [
+            [[-2, -1], [0, 1], 0, "-1"], [[0, 2], [0, 2], 0, "5/4"], [[1, -2], [0, 0], 0, "1"],
+            [[1, 1], [0, 0], 0, "1/4"],
+        ]),
+        [3, -3], 3,
+    ),
+    "kolmogorov-t3-wide": (
+        _resonant_nf("kolmogorov-nf", 2, 4, ["1", "1"], [
+            [[-1, -1], [1, 0], 0, "3/4"], [[-1, 2], [0, 0], 0, "-3/4"], [[-1, 2], [1, 1], 0, "1/3"],
+            [[0, 1], [0, 2], 0, "-5"], [[1, 0], [1, 0], 0, "5/2"], [[1, 2], [1, 0], 0, "-4"],
+            [[2, 1], [0, 0], 0, "-2"],
+        ]),
+        [-1, 1], 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATER_RESONANCES))
+def test_resonance_at_a_later_t_order_names_a_pinned_vector(tmp_path, case):
+    scen, vector, t_order = LATER_RESONANCES[case]
+    out = tmp_path / "r.json"
+    assert run_scenario(write(tmp_path, "s.json", scen), str(out)) == 1
+    err = json.loads(out.read_text())["error"]
+    assert err["type"] == "ResonantDenominator"
+    assert (err["vector"], err["t_order"]) == (vector, t_order)
+
+
 def test_report_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     scen = write(tmp_path, "s.json", KNF)
@@ -370,6 +429,25 @@ def test_deeply_nested_scenario_is_refused_or_echoed(tmp_path, capsys, field):
             assert not out.exists()
     assert echoed == list(range(900, 900 + len(echoed)))  # every depth json.load reads
     assert 0 < len(echoed) < 201
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"kind": "selftest", "seed": [0] * 100_000}),
+        json.dumps({"kind": [0] * 100_000}),
+        '{"kind": "selftest", "seed": 1' + "0" * 5000 + ".0}",
+    ],
+    ids=["value-against-schema", "unknown-kind", "non-finite-number"],
+)
+def test_schema_error_message_is_cut(tmp_path, capsys, text):
+    # each message quotes an offending value of about 300 KB or 5 KB
+    scen, out = tmp_path / "s.json", tmp_path / "r.json"
+    scen.write_text(text)
+    assert main(["run", str(scen), "--out", str(out)]) == 2
+    message = json.loads(out.read_text())["error"]["message"]
+    assert len(message) < 1000 and message.endswith(" more characters cut)")
+    assert capsys.readouterr().err == f"kamforge: {message}\n"
 
 
 def test_integer_past_the_digit_limit_is_a_structured_error(tmp_path, capsys):

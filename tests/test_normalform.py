@@ -18,7 +18,7 @@ from kamforge import (
     resonances,
 )
 from kamforge.diophantine import FrequencyVector
-from kamforge.errors import DegenerateAlpha, ResonantDenominator
+from kamforge.errors import DegenerateAlpha, InvalidInput, ResonantDenominator
 from kamforge.normalform import exact_det, solve_linear
 from kamforge.scalar import RATIONAL, quadratic
 from kamforge.series import drop_count
@@ -148,6 +148,53 @@ def test_homological_solve_resonance():
     with pytest.raises(ResonantDenominator) as exc:
         homological_solve(H, R, p_cap=2)
     assert exc.value.vector == (2, 1)
+
+
+# omega = (1, -1) is resonant at I = (1, 1), (2, 2), ...
+TR_RES = TruncationSpec(n=2, Dp=3, Dt=1, Nq=3)
+RESONANT_H = {
+    ((0, 0), (1, 0), 0): 1,
+    ((0, 0), (0, 1), 0): -1,
+    ((0, 0), (2, 0), 0): Fraction(1, 2),
+    ((0, 0), (0, 2), 0): Fraction(1, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "terms, vector",
+    [
+        # (2, 2) is the first resonant mode in R, (1, 1) has R's first resonant term of degree 1
+        ([((1, 0), (0, 0)), ((2, 2), (0, 2)), ((1, 1), (1, 0)), ((2, 2), (0, 1))], (1, 1)),
+        # the degree-0 term is stored after a degree-1 one
+        ([((1, 1), (1, 0)), ((2, 2), (0, 0))], (2, 2)),
+    ],
+    ids=["first-in-R-order", "lowest-degree-first"],
+)
+def test_homological_solve_names_the_first_resonance(terms, vector):
+    H = integrable(RATIONAL, TR_RES, RESONANT_H)
+    R = series(RATIONAL, TR_RES, [((I, J, 1), 1) for I, J in terms])
+    with pytest.raises(ResonantDenominator) as exc:
+        homological_solve(H, R, p_cap=3)
+    assert exc.value.vector == vector
+
+
+def test_homological_solve_leaves_a_resonant_mode_above_p_cap():
+    H = integrable(RATIONAL, TR_RES, RESONANT_H)
+    R = series(RATIONAL, TR_RES, {((1, 1), (2, 0), 1): 3, ((1, 0), (0, 0), 1): 1})
+    S, residual = homological_solve(H, R, p_cap=1)
+    assert residual.coefficient((1, 1), (2, 0), 1) == 3
+    assert residual == poisson_bracket(H.series, S) + R
+
+
+def test_homological_solve_rejects_symplectic_mode():
+    # the symplectic bracket lowers I, so no mode is solved on its own
+    tr = TruncationSpec(n=1, Dp=2, Dt=1, Nq=2)
+    H = IntegrableHamiltonian.from_series(
+        series(RATIONAL, tr, {((0,), (1,), 0): 1}, mode="symplectic")
+    )
+    R = series(RATIONAL, tr, {((1,), (0,), 1): 1}, mode="symplectic")
+    with pytest.raises(InvalidInput):
+        homological_solve(H, R, p_cap=2)
 
 
 def test_formal_normal_form_paper_example():

@@ -240,8 +240,11 @@ def test_flows_match_reference(data):
 
 
 # The cubic H of tests/test_normalform.py carries p-degree m to m + 2, so
-# corrections of p-degree Dp - 1 and Dp have bracket terms past Dp.
+# corrections of p-degree Dp - 1 and Dp have bracket terms past Dp.  The
+# n = 3 H adds terms with two and three nonzero exponents and one of
+# p-degree 4, which carries m to m + 3.
 TR_H = TruncationSpec(n=2, Dp=3, Dt=2, Nq=2)
+TR_H3 = TruncationSpec(n=3, Dp=4, Dt=1, Nq=1)
 
 
 def _cubic_H(ctx):
@@ -257,17 +260,36 @@ def _cubic_H(ctx):
     return IntegrableHamiltonian.from_series(PoissonSeries(ctx, TR_H, "torus", terms))
 
 
+def _quartic_H3(ctx):
+    w2 = CTX2.sqrt_d() if ctx is CTX2 else Fraction(1393, 985)
+    zero = (0, 0, 0)
+    terms = {
+        (zero, (1, 0, 0), 0): 1,
+        (zero, (0, 1, 0), 0): w2,
+        (zero, (0, 0, 1), 0): Fraction(311, 99),
+        (zero, (2, 0, 0), 0): Fraction(1, 2),
+        (zero, (0, 1, 1), 0): 2,
+        (zero, (1, 1, 1), 0): Fraction(-1, 4),
+        (zero, (2, 0, 2), 0): 3,
+        (zero, (0, 4, 0), 0): w2,
+    }
+    return IntegrableHamiltonian.from_series(PoissonSeries(ctx, TR_H3, "torus", terms))
+
+
 @PROPERTY
 @given(st.data())
 def test_homological_solve_residual_is_one_bracket(data):
     ctx = data.draw(st.sampled_from([RATIONAL, CTX2]))
-    H = _cubic_H(ctx)
-    R = to_series(ctx, TR_H, "torus", data.draw(term_dicts(ctx, TR_H, max_size=8)))
-    p_cap = data.draw(st.sampled_from([0, 1, 3]))
-    zero_I = (0, 0)
+    H = data.draw(st.sampled_from([_cubic_H, _quartic_H3]))(ctx)
+    tr = H.series.trunc
+    R = to_series(ctx, tr, "torus", data.draw(term_dicts(ctx, tr, max_size=8)))
+    p_cap = data.draw(st.sampled_from([0, 1, 3, tr.Dp]))
+    zero_I = (0,) * tr.n
     d0 = drop_count()
     S, residual = homological_solve(H, R, p_cap=p_cap)
     d1 = drop_count()
+    assert_canonical(S)
+    assert_canonical(residual)
     assert residual == poisson_bracket(H.series, S) + R
     assert drop_count() - d1 == d1 - d0
     assert all(I != zero_I and sum(J) <= p_cap for (I, J, _), _c in S.items())
