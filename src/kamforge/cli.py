@@ -14,6 +14,7 @@ import json
 import math
 import os
 import random
+import stat
 import sys
 import tempfile
 import time
@@ -580,10 +581,14 @@ def _write(text: str, out_path: str | None) -> None:
         with open(out_path, "w") as fh:  # a device or FIFO must not be replaced
             fh.write(text)
         return
+    umask = os.umask(0o022)  # only read: the report gets the mode open(out_path, "w") would leave
+    os.umask(umask)
+    mode = stat.S_IMODE(os.stat(out_path).st_mode) if os.path.isfile(out_path) else 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(out_path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kamforge-")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), mode)  # mkstemp makes the file 0600
             fh.write(text)
         os.replace(tmp, out_path)
     except BaseException:
@@ -596,12 +601,18 @@ def run_scenario(path: str, out: str | None = None, timings: bool = False) -> in
     """Execute a scenario file and write its report; returns the exit status."""
     try:
         with open(path) as fh:
-            raw = json.load(fh, parse_float=_finite, parse_int=_integer, parse_constant=_finite)
+            text = fh.read()
+        raw = json.loads(text, parse_float=_finite, parse_int=_integer, parse_constant=_finite)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:  # nested past the stack
         sys.stderr.write(f"kamforge: cannot read scenario: {exc}\n")
         return 2
     except SchemaError as exc:  # the report cannot echo a non-finite number
         return _schema_error(None, exc, out)
+    if len(text) > _ECHO_CHARS:  # a schema error does not echo a file this large
+        try:
+            validate_scenario(raw)
+        except SchemaError as exc:
+            return _schema_error(None, exc, out)
     return _execute(raw, out, timings)
 
 
@@ -623,6 +634,8 @@ def _integer(text: str) -> int:
 
 # a schema error can quote an offending value of any size; its message keeps this many characters
 _MESSAGE_CHARS = 200
+# and its report echoes a scenario file of at most this many characters
+_ECHO_CHARS = 1 << 16
 
 
 def _schema_error(raw, exc: SchemaError, out: str | None) -> int:

@@ -24,7 +24,9 @@ from .scalar import (
     CertifiedDecimal,
     QuadScalar,
     ScalarContext,
+    _convergent_pairs,
     _make,
+    _partial_quotients,
     certified_root,
     exact_sign,
     integer_bounds,
@@ -139,6 +141,16 @@ def _power_key(dot, nrm2: int, s: Fraction):
     return (dot * dot) ** s.denominator * Fraction(nrm2) ** s.numerator
 
 
+# the bits a key may take; the root of one past about 2^19 bits alone takes seconds
+_KEY_BITS = 1 << 19
+
+
+def _check_key_bits(s: Fraction, dot_bits: int, nrm2: int) -> None:
+    """Refuses keys ``_power_key(dot, nrm2, s)`` of an estimated size past ``_KEY_BITS``."""
+    if 2 * s.denominator * dot_bits + abs(s.numerator) * nrm2.bit_length() > _KEY_BITS:
+        raise InvalidInput(f"an exact key (|(omega, I)| * |I|^s)^(2q) would take more than {_KEY_BITS} bits")
+
+
 def kolmogorov_constant(omega: FrequencyVector, nu, N: int) -> DiophantineEstimate:
     """Exact minimization of |(omega, I)| * |I|^(n-1+nu) over 0 < |I|_sup <= N.
 
@@ -176,6 +188,8 @@ def kolmogorov_constant(omega: FrequencyVector, nu, N: int) -> DiophantineEstima
     n = omega.n
     nu = Fraction(nu)
     s = n - 1 + nu
+    E, a, b, d = omega._integers
+    _check_key_bits(s, (E * N * (sum(map(abs, a)) + d * sum(map(abs, b)))).bit_length(), n * N * N)
     p_, q_ = s.numerator, s.denominator
     power = 2 * q_
     *head, wn = omega.entries
@@ -203,7 +217,7 @@ def kolmogorov_constant(omega: FrequencyVector, nu, N: int) -> DiophantineEstima
         wn_q = (wn * wn) ** q_
         blocks = n == 2 and s >= 0
         if blocks:
-            conv = _convergents(head[0] / wn)
+            conv = _convergent_pairs(_partial_quotients(head[0] / wn))
             nxt = next(conv)  # (p_0, q_0 = 1)
         rows = half_ball(n - 1, N)
         while (K := next(rows, None)) is not None:
@@ -239,26 +253,6 @@ def kolmogorov_constant(omega: FrequencyVector, nu, N: int) -> DiophantineEstima
         min_power=best,
         power=power,
     )
-
-
-def _convergents(alpha):
-    """Convergents (p_k, q_k), k = 0, 1, ..., of the regular continued fraction of alpha.
-
-    ``alpha`` is an exact real of any sign: a_0 = floor(alpha), and each
-    complete quotient is inverted exactly.  q_0 = 1 <= q_1 < q_2 < ...
-    The expansion of a rational ends with p_k / q_k = alpha; that of an
-    irrational does not end, so the generator is read lazily.
-    """
-    p0, q0, p1, q1 = 1, 0, 0, 1
-    x = alpha
-    while True:
-        a = x.floor()
-        p0, q0, p1, q1 = a * p0 + p1, a * q0 + q1, p0, q0
-        yield p0, q0
-        x = x - a
-        if not x:
-            return
-        x = 1 / x
 
 
 @dataclass(frozen=True)
@@ -312,6 +306,7 @@ def liouville_witness(k: int, nu, m: int) -> LiouvilleWitness:
     norm_sq = beta[0] * beta[0] + beta[1] * beta[1]
     nu = Fraction(nu)
     e = 1 + nu
+    _check_key_bits(e, pairing.numerator.bit_length() + pairing.denominator.bit_length(), norm_sq)
     prod_pow = _power_key(pairing, norm_sq, e)
     return LiouvilleWitness(
         k=k,

@@ -171,10 +171,6 @@ class IterationTrace:
     order: float | None = None
     quad_constant: float | None = None
 
-    def measure_quad_constant(self) -> None:
-        if len(self.b_norms) >= 2 and self.b_norms[0] > 0:
-            self.quad_constant = self.b_norms[1] / self.b_norms[0] ** 2
-
     def to_json(self) -> dict:
         return {
             "b_norms": self.b_norms,
@@ -200,13 +196,6 @@ def default_basin_radius(a: np.ndarray) -> float:
                 return 0.1 * float(gaps.min())
         return 0.05
     return 0.5 * max(1.0, float(np.linalg.norm(a)))
-
-
-def _fit_order_or_none(trace: IterationTrace) -> float | None:
-    try:
-        return convergence_order(trace)
-    except InsufficientSteps:
-        return None
 
 
 def _iterate(a, b, step, max_iter, tol):
@@ -238,8 +227,12 @@ def _iterate(a, b, step, max_iter, tol):
         if trace.b_norms[-1] >= trace.b_norms[0]:
             raise NoConvergence(f"no error reduction after {max_iter} steps")
         trace.termination = "max_iter"
-    trace.measure_quad_constant()
-    trace.order = _fit_order_or_none(trace)
+    if len(trace.b_norms) >= 2 and trace.b_norms[0] > 0:
+        trace.quad_constant = trace.b_norms[1] / trace.b_norms[0] ** 2
+    try:
+        trace.order = convergence_order(trace)
+    except InsufficientSteps:
+        pass  # too few steps to fit: the order stays None
     return gens, trace
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import mul
 
 from .diophantine import FrequencyVector, _paired, half_ball, integer_pairing
@@ -84,10 +83,6 @@ class IntegrableHamiltonian:
             alpha.append(tuple(row))
         return cls(series=series, omega=omega, alpha=tuple(alpha))
 
-    @property
-    def n(self) -> int:
-        return self.series.trunc.n
-
     @cached_property
     def _frequencies(self) -> FrequencyVector:
         return FrequencyVector(self.omega, self.series.context)
@@ -111,14 +106,6 @@ def resonances(omega, N: int) -> list[tuple]:
         for I in half_ball(len(omega), N)
         if not sum(map(mul, a, I)) and not sum(map(mul, b, I))
     ]
-
-
-def _min_abs_update(best, value):
-    """Track the minimum of |value| exactly via squared comparisons."""
-    sq = value * value
-    if best is None or exact_sign(sq - best) < 0:
-        return sq
-    return best
 
 
 def homological_solve(H: IntegrableHamiltonian, R: PoissonSeries, p_cap: int):
@@ -227,13 +214,7 @@ def homological_solve(H: IntegrableHamiltonian, R: PoissonSeries, p_cap: int):
     residual = [(P, a, b, D0) for P, (a, b) in averaged.items()]
     for level in levels[p_cap + 1:]:
         residual += [(P, a, b, den.get(keys[P][0], D0)) for P, (a, b) in level.items()]
-    return _gathered(R, S), _gathered(R, residual)
-
-
-def _gathered(like: PoissonSeries, parts) -> PoissonSeries:
-    """The series of the terms (P, a, b, D), each (a + b sqrt(d)) / D, over the lcm of the D's."""
-    L = lcm(*{D for _, _, _, D in parts})
-    return like._reduced(L, {P: (a * (L // D), b * (L // D)) for P, a, b, D in parts})
+    return R._gathered(S), R._gathered(residual)
 
 
 @dataclass
@@ -272,11 +253,6 @@ class NormalFormResult:
         }
 
 
-def _with_t_factor(Q: PoissonSeries) -> PoissonSeries:
-    t = PoissonSeries.monomial(Q.context, Q.trunc, Q.mode, 1, k=1)
-    return t * Q
-
-
 def _iterate(H: IntegrableHamiltonian, Q: PoissonSeries, p_cap: int, two_alpha=None):
     """The order-by-order normalization of H + tQ shared by both normal forms.
 
@@ -291,7 +267,7 @@ def _iterate(H: IntegrableHamiltonian, Q: PoissonSeries, p_cap: int, two_alpha=N
     zero_I = (0,) * n
     unit_J = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     drops0 = drop_count()
-    current = H.series + _with_t_factor(Q)
+    current = H.series + PoissonSeries.monomial(Q.context, trunc, Q.mode, 1, k=1) * Q
     generators = []
     per_order = []
     min_sq = None
@@ -305,8 +281,11 @@ def _iterate(H: IntegrableHamiltonian, Q: PoissonSeries, p_cap: int, two_alpha=N
                 S, _ = homological_solve(H, Rm, p_cap=p_cap)
             except ResonantDenominator as exc:
                 raise ResonantDenominator(exc.vector, t_order=m) from None
-            for I in Rm.support_I():
-                min_sq = _min_abs_update(min_sq, H.pairing(I))
+            for I in Rm.support_I():  # min |(omega, I)| kept exactly as its square
+                w = H.pairing(I)
+                sq = w * w
+                if min_sq is None or exact_sign(sq - min_sq) < 0:
+                    min_sq = sq
             gen = Generator.hamiltonian(S)
             current = flow_apply(gen, current)
             generators.append(gen)
@@ -435,8 +414,8 @@ def _hyperbolic_class(H: PoissonSeries, f: PoissonSeries) -> NormalSpaceClass:
     if f.t_part(0) != f:
         raise ValueError("normal-space classes are computed for t-free elements")
     # a term c p^i q^j has I = (j,) and J = (i,); {pq, p^i q^j} = (j - i) p^i q^j
-    # under this bracket convention
-    g = f.divided(lambda I, J, k: I[0] - J[0] if I != J else None)
+    # under this bracket convention, so g has the terms c / (j - i), i != j
+    g = f._gathered([(P, a, b, f._den * (I[0] - J[0])) for P, I, J, _, a, b in f._terms() if I != J])
     ideal = f.select(lambda I, J, k: I == J and I[0] >= 2)
     return NormalSpaceClass(
         nu=(f.coefficient((1,), (1,)),),

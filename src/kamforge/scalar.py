@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, isfinite, isqrt, lcm, ldexp, sqrt
 
 from .errors import ContextMismatch, DivisionByZero, InvalidInput, RationalInput
@@ -350,23 +351,33 @@ def continued_fraction(x: QuadScalar, k: int) -> list[int]:
         raise RationalInput("continued fractions are computed for irrationals only")
     if x.exact_sign() <= 0:
         raise ValueError("continued_fraction expects a positive argument")
-    out = []
-    cur = x
-    for _ in range(k):
-        a = cur.floor()
-        out.append(a)
-        cur = 1 / (cur - a)  # fractional part never vanishes
-    return out
+    return list(islice(_partial_quotients(x), k))
 
 
 def convergents(quotients: list[int]) -> list[tuple[int, int]]:
     """Convergent pairs (p_k, q_k) of a partial-quotient sequence."""
-    out = []
+    return list(_convergent_pairs(quotients))
+
+
+def _partial_quotients(x):
+    """Partial quotients a_0 = floor(x), a_1, ... of an exact real x of any sign, each
+    complete quotient inverted exactly; only a rational's expansion ends, so read lazily."""
+    while True:
+        a = x.floor()
+        yield a
+        x = x - a
+        if not x:
+            return
+        x = 1 / x
+
+
+def _convergent_pairs(quotients):
+    """Convergents (p_k, q_k) of the quotients, lazily: for those of x, q_0 = 1 <= q_1 <
+    q_2 < ..., and a rational x ends with p_k / q_k = x."""
     p0, q0, p1, q1 = 1, 0, 0, 1
     for a in quotients:
         p0, q0, p1, q1 = a * p0 + p1, a * q0 + q1, p0, q0
-        out.append((p0, q0))
-    return out
+        yield p0, q0
 
 
 # ---------------------------------------------------------------------------

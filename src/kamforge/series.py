@@ -14,7 +14,7 @@ ends by dividing out the gcd of D and all numerators, and no pair is
 ``==`` compares it directly, and each coefficient is the lowest-terms
 value over the least common denominator.  :class:`QuadScalar` values
 appear only at the edge (the term-dict constructor, ``coefficient``,
-``items``, JSON and ``str``); the bracket, the product, sums, scaling and
+``items`` and JSON); the bracket, the product, sums, scaling and
 both flows run on the integers.
 
 Key packing.  A key (I, J, k) is packed into one int (Kronecker
@@ -54,7 +54,7 @@ from fractions import Fraction
 from itertools import chain
 from math import comb, gcd, lcm
 
-from .errors import ContextMismatch, DivisionByZero, GeneratorOrderViolation, InvalidInput
+from .errors import ContextMismatch, GeneratorOrderViolation, InvalidInput
 from .scalar import ScalarContext, _make, format_literal, literal_of, parse_literal
 
 __all__ = [
@@ -243,6 +243,12 @@ class PoissonSeries:
             num = {P: (a // g, b // g) for P, (a, b) in num.items()}
         return self._raw(D, num)
 
+    def _gathered(self, parts) -> "PoissonSeries":
+        """A series like self of the terms (P, a, b, D), each (a + b sqrt(d)) / D
+        with D a nonzero integer of either sign, over the lcm of the D's."""
+        L = lcm(*{D for _, _, _, D in parts})
+        return self._reduced(L, {P: (a * (L // D), b * (L // D)) for P, a, b, D in parts})
+
     def _grades(self) -> dict:
         """The terms as (P, I, J, a, b) lists keyed by (t-degree, p-degree),
         built on first use."""
@@ -315,30 +321,6 @@ class PoissonSeries:
         """Sub-series of the terms whose key satisfies ``pred(I, J, k)``."""
         num = {P: (a, b) for P, I, J, k, a, b in self._terms() if pred(I, J, k)}
         return self._reduced(self._den, num)
-
-    def divided(self, divisor) -> "PoissonSeries":
-        """Sub-series of the terms whose key has a divisor, each term
-        divided by it: ``divisor(I, J, k)`` is a nonzero scalar or None."""
-        d = self.context.d or 0
-        parts = []
-        for P, I, J, k, a, b in self._terms():
-            s = divisor(I, J, k)
-            if s is None:
-                continue
-            # s = (sa + sb sqrt(d)) / e, and c / s = (x + y sqrt(d)) / (D N)
-            sa, sb, e = _scalar_parts(self.context, s)
-            if sb:  # times the conjugate over the norm N
-                x, y, N = (a * sa - d * b * sb) * e, (b * sa - a * sb) * e, sa * sa - d * sb * sb
-            else:
-                x, y, N = a * e, b * e, sa
-            if N == 0:
-                raise DivisionByZero("division of a series term by zero")
-            if N < 0:
-                x, y, N = -x, -y, -N
-            parts.append((P, x, y, N))
-        L = lcm(*(N for _, _, _, N in parts))
-        num = {P: (x * (L // N), y * (L // N)) for P, x, y, N in parts}
-        return self._reduced(self._den * L, num)
 
     def t_part(self, k0: int) -> "PoissonSeries":
         return self.select(lambda I, J, k: k == k0)
@@ -479,23 +461,6 @@ class PoissonSeries:
             f"PoissonSeries(mode={self.mode!r}, {len(self._num)} terms, "
             f"trunc={self.trunc})"
         )
-
-    def __str__(self):
-        if not self._num:
-            return "0"
-        parts = []
-        for I, J, k, a, b in self._sorted_terms():
-            factors = [f"({self._scalar(a, b)})"]
-            for j, e in enumerate(I):
-                if e:
-                    factors.append(f"q{j + 1}^{e}")
-            for j, e in enumerate(J):
-                if e:
-                    factors.append(f"p{j + 1}^{e}")
-            if k:
-                factors.append(f"t^{k}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
 
 
 def _collect(like: PoissonSeries, D: int, A: dict, B: dict) -> PoissonSeries:

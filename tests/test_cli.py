@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import jsonschema
@@ -388,6 +389,26 @@ def test_report_to_fifo_is_written_in_place(tmp_path):
     assert received == [expected.read_text()]
 
 
+@pytest.mark.parametrize(
+    "umask, existing, expected",
+    [(0o022, None, 0o644), (0o027, None, 0o640), (0o022, 0o640, 0o640)],
+    ids=["new-umask-022", "new-umask-027", "existing-0640"],
+)
+def test_out_report_gets_the_mode_open_would_leave(tmp_path, umask, existing, expected):
+    # a new report gets 0o666 less the umask, an existing one keeps its mode
+    out = tmp_path / "r.json"
+    if existing is not None:
+        out.write_text("{}")
+        out.chmod(existing)
+    scen = write(tmp_path, "s.json", KNF)
+    old = os.umask(umask)
+    try:
+        assert main(["run", scen, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == expected
+
+
 UNWRITABLE_RUNS = {  # one per write path: success, structured error, schema error, selftest
     "report": ["run", KNF],
     "error-report": ["run", BAD_INPUT["zero-denominator"]],
@@ -448,6 +469,29 @@ def test_schema_error_message_is_cut(tmp_path, capsys, text):
     message = json.loads(out.read_text())["error"]["message"]
     assert len(message) < 1000 and message.endswith(" more characters cut)")
     assert capsys.readouterr().err == f"kamforge: {message}\n"
+    assert len(out.read_bytes()) < 2048  # a file past 64 KiB is not echoed
+
+
+@pytest.mark.parametrize(
+    "scen",
+    [
+        {**DIOPHANTINE, "nu": "1" + "0" * 400},
+        {**DIOPHANTINE, "nu": "1/1" + "0" * 400},
+        {"kind": "liouville", "k_values": [1, 2, 3], "nu": "1" + "0" * 400, "m": 5},
+        {**MEASURE, "C_values": [0.1], "nu": "1" + "0" * 300},  # refused in the exact recheck
+    ],
+    ids=["diophantine-huge-nu", "diophantine-tiny-nu", "liouville-huge-nu", "measure-huge-nu"],
+)
+def test_huge_nu_is_refused_before_any_power(tmp_path, capsys, scen):
+    out = tmp_path / "r.json"
+    t0 = time.perf_counter()
+    assert main(["run", write(tmp_path, "s.json", scen), "--out", str(out)]) == 1
+    assert time.perf_counter() - t0 < 2
+    assert json.loads(out.read_text())["error"] == {
+        "type": "InvalidInput",
+        "message": "an exact key (|(omega, I)| * |I|^s)^(2q) would take more than 524288 bits",
+    }
+    assert capsys.readouterr().err == ""
 
 
 def test_integer_past_the_digit_limit_is_a_structured_error(tmp_path, capsys):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from kamforge import diophantine
 from kamforge.diophantine import (
     FourierTable,
-    _convergents,
     _row_statistic,
     FrequencyVector,
     decay_fit,
@@ -26,6 +25,8 @@ from kamforge.errors import InsufficientSupport, ResonantDenominator
 from kamforge.scalar import (
     RATIONAL,
     QuadScalar,
+    _convergent_pairs,
+    _partial_quotients,
     certified_root,
     continued_fraction,
     convergents,
@@ -279,7 +280,7 @@ def test_sweep_scores_few_vectors(monkeypatch, omega, nu, N, most):
     ],
 )
 def test_convergent_blocks_bound_every_row(alpha):
-    conv = list(islice(_convergents(alpha), 12))
+    conv = list(islice(_convergent_pairs(_partial_quotients(alpha)), 12))
     rational = not alpha.b
     qs = [q for _, q in conv]
     assert qs[0] == 1 and all(a < b for a, b in zip(qs[1:], qs[2:]))

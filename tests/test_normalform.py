@@ -482,6 +482,20 @@ def test_normal_space_class_hyperbolic():
     recon = recon + PoissonSeries.monomial(RATIONAL, tr, "symplectic", nc2.constant)
     recon = recon + PoissonSeries.monomial(RATIONAL, tr, "symplectic", nc2.nu[0], I=(1,), J=(1,))
     assert recon == g
+    # over Q(sqrt 2), with divisors j - i = -3, -1 and 2 for p^3, q p^2 and q^3 p
+    r2 = CTX2.sqrt_d()
+    terms = {((0,), (3,), 0): 1 + r2, ((1,), (2,), 0): r2 / 3, ((3,), (1,), 0): 5 - 2 * r2}
+    diagonal = {((0,), (0,), 0): 2 * r2, ((1,), (1,), 0): 3 - r2, ((2,), (2,), 0): r2}
+    f2 = series(CTX2, tr, {**terms, **diagonal}, mode="symplectic")
+    pq2 = PoissonSeries.monomial(CTX2, tr, "symplectic", 1, I=(1,), J=(1,))
+    nc3 = normal_space_class(pq2, f2)
+    quotients = {(I, J, 0): c / (I[0] - J[0]) for (I, J, _), c in terms.items()}
+    assert nc3.g == series(CTX2, tr, quotients, mode="symplectic")
+    assert (nc3.constant, nc3.nu) == (2 * r2, (3 - r2,))
+    recon = poisson_bracket(pq2, nc3.g) + nc3.ideal_part
+    recon = recon + PoissonSeries.monomial(CTX2, tr, "symplectic", nc3.constant)
+    recon = recon + PoissonSeries.monomial(CTX2, tr, "symplectic", nc3.nu[0], I=(1,), J=(1,))
+    assert recon == f2
 
 
 def test_per_order_diagnostics_and_serialization():
