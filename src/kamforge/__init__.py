@@ -45,13 +45,25 @@ from .diophantine import (  # noqa: F401
     measure_estimate,
     small_denominator_series,
 )
-from .lie import (  # noqa: F401
-    IterationTrace,
-    SubspaceBasis,
-    commutant_basis,
-    convergence_order,
-    lie_iterate_homogeneous,
-    lie_iterate_parametric,
-    matrix_exp,
-    transversal_from_commutant,
-)
+
+# The names of ``lie`` are loaded on first access (PEP 562), because ``lie``
+# imports numpy and only the float kernels need it.
+_LIE_NAMES = frozenset({
+    "IterationTrace",
+    "SubspaceBasis",
+    "commutant_basis",
+    "convergence_order",
+    "lie_iterate_homogeneous",
+    "lie_iterate_parametric",
+    "matrix_exp",
+    "transversal_from_commutant",
+})
+
+
+def __getattr__(name):
+    if name == "lie" or name in _LIE_NAMES:
+        import importlib  # not ``from . import lie``, which would look ``lie`` up here first
+
+        lie = importlib.import_module(".lie", __name__)
+        return lie if name == "lie" else getattr(lie, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

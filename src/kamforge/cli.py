@@ -5,6 +5,10 @@ plus kind-specific parameters), dispatches to the computational modules
 and writes deterministic JSON reports: identical inputs and seeds
 produce byte-identical reports, so wall-clock timings are only included
 on explicit request.
+
+numpy, and ``lie`` with it, is imported only by the handlers of the float
+kinds (hadamard, measure, lie-homogeneous, lie-parametric) and by
+``selftest``, so an exact scenario runs without loading it.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ from fractions import Fraction
 from functools import cache
 
 import jsonschema
-import numpy as np
 
-from . import __version__, diophantine, lie, normalform, series
+from . import __version__, diophantine, normalform, series
 from .errors import InvalidInput, KamError, NonFiniteResult, ResonantDenominator, ResultTooLarge, SchemaError
 from .normalform import IntegrableHamiltonian
 from .scalar import RATIONAL, ScalarContext, parse_literal, quadratic
@@ -157,6 +160,8 @@ def _floats(value, name):
     JSON integers are unbounded, so one beyond the float range is
     InvalidInput here rather than an OverflowError in the handler.
     """
+    import numpy as np
+
     try:
         return np.asarray(value, dtype=float) if isinstance(value, list) else float(value)
     except OverflowError:
@@ -212,6 +217,8 @@ def _run_liouville(params):
 
 
 def _run_hadamard(params):
+    import numpy as np
+
     ctx = ScalarContext.from_json(params["context"])
     omega = diophantine.FrequencyVector(_scalars(ctx, params["omega"]), ctx)
     h = diophantine.small_denominator_series(omega, params["N"])
@@ -246,6 +253,10 @@ def _run_measure(params):
 
 
 def _run_lie_homogeneous(params):
+    import numpy as np
+
+    from . import lie
+
     a = _floats(params["a"], "a")
     b = _floats(params["b"], "b")
     if a.shape != b.shape or not a @ a > 0:  # |a|^2 may underflow to 0
@@ -271,6 +282,10 @@ def _run_lie_homogeneous(params):
 
 
 def _run_lie_parametric(params):
+    import numpy as np
+
+    from . import lie
+
     msg = "lie-parametric needs square matrices a and b of one size"
     try:
         a = _floats(params["a"], "a")
@@ -420,6 +435,10 @@ def selftest(seed: int = 0) -> dict:
     props["eigen_relation"] = {"pass": ok, "trials": 30, **({"detail": detail} if detail else {})}
 
     # Commutant orthogonality for a random matrix.
+    import numpy as np
+
+    from . import lie
+
     nprng = np.random.default_rng(seed)
     A = nprng.standard_normal((3, 3))
     try:
@@ -600,10 +619,11 @@ def _write(text: str, out_path: str | None) -> None:
 def run_scenario(path: str, out: str | None = None, timings: bool = False) -> int:
     """Execute a scenario file and write its report; returns the exit status."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8, whatever the locale
             text = fh.read()
         raw = json.loads(text, parse_float=_finite, parse_int=_integer, parse_constant=_finite)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # nested past the stack
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # a RecursionError is a file nested past the stack
         sys.stderr.write(f"kamforge: cannot read scenario: {exc}\n")
         return 2
     except SchemaError as exc:  # the report cannot echo a non-finite number

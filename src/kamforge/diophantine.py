@@ -4,7 +4,9 @@ Exact minimization of |(omega, I)| * |I|^(n-1+nu) over lattice balls,
 the Liouville-type counterexample with exact partial sums, the
 small-denominator Fourier table and its Hadamard calculus with decay
 classification, and a seeded Monte-Carlo check of the measure bound
-Vol(B_R \\ Omega(C, nu)) <= k * C.
+Vol(B_R \\ Omega(C, nu)) <= k * C.  Only the two float kernels,
+``decay_fit`` and ``measure_estimate``, import numpy, so the exact ones
+run without loading it.
 """
 
 from __future__ import annotations
@@ -13,10 +15,8 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import count, product
-from math import lcm
+from math import factorial, lcm
 from operator import mul
-
-import numpy as np
 
 from .errors import ContextMismatch, InsufficientSupport, InvalidInput, ResonantDenominator
 from .scalar import (
@@ -145,9 +145,9 @@ def _power_key(dot, nrm2: int, s: Fraction):
 _KEY_BITS = 1 << 19
 
 
-def _check_key_bits(s: Fraction, dot_bits: int, nrm2: int) -> None:
+def _check_key_bits(s: Fraction, dot_bits: int, nrm2_bits: int) -> None:
     """Refuses keys ``_power_key(dot, nrm2, s)`` of an estimated size past ``_KEY_BITS``."""
-    if 2 * s.denominator * dot_bits + abs(s.numerator) * nrm2.bit_length() > _KEY_BITS:
+    if 2 * s.denominator * dot_bits + abs(s.numerator) * nrm2_bits > _KEY_BITS:
         raise InvalidInput(f"an exact key (|(omega, I)| * |I|^s)^(2q) would take more than {_KEY_BITS} bits")
 
 
@@ -189,7 +189,8 @@ def kolmogorov_constant(omega: FrequencyVector, nu, N: int) -> DiophantineEstima
     nu = Fraction(nu)
     s = n - 1 + nu
     E, a, b, d = omega._integers
-    _check_key_bits(s, (E * N * (sum(map(abs, a)) + d * sum(map(abs, b)))).bit_length(), n * N * N)
+    dot_bits = (E * N * (sum(map(abs, a)) + d * sum(map(abs, b)))).bit_length()
+    _check_key_bits(s, dot_bits, (n * N * N).bit_length())
     p_, q_ = s.numerator, s.denominator
     power = 2 * q_
     *head, wn = omega.entries
@@ -288,15 +289,37 @@ class LiouvilleWitness:
         }
 
 
+def _ten_power_bits(e: int) -> int:
+    """Bits of 10^e, floor(e * log2(10)) + 1, with log2(10) rounded down so never too many."""
+    return e * 3321928094887362347 // 10**18 + 1
+
+
 def liouville_witness(k: int, nu, m: int) -> LiouvilleWitness:
     """Build omega = (1, alpha_m) with alpha_m = sum_{j<=m} 10^(-j!) and pair it
-    with beta_k oriented so the pairing equals the tail 10^(k!) sum_{j>k} 10^(-j!)."""
+    with beta_k oriented so the pairing equals the tail 10^(k!) sum_{j>k} 10^(-j!).
+
+    The key size is checked from k and m alone before anything is built, as
+    alpha_m and the tail 10^(-(m+1)!) take seconds from m = 9 on.  The
+    pairing is the fraction sum_{j=k+1}^{m} 10^(m!-j!) / 10^(m!-k!), reduced,
+    since its numerator ends in the digit 1; the numerator has at least the
+    bits of 10^(m!-(k+1)!), and |beta|^2 > 10^(2 k!).  From m = 20, the bit
+    length of ``_KEY_BITS``, on, the denominator alone has m! - k! >= m!/2 >
+    2^m digits, past the limit, so factorial(m), which takes seconds for m
+    near 10^6, is not taken.
+    """
     if k < 1:
         raise ValueError("index k must be >= 1")
     if m <= k:
         raise InvalidInput("tail order m must exceed k")
-    from math import factorial
-
+    nu = Fraction(nu)
+    e = 1 + nu
+    if m < _KEY_BITS.bit_length():
+        fk, fm = factorial(k), factorial(m)
+        dot_bits = _ten_power_bits(fm - fk * (k + 1)) + _ten_power_bits(fm - fk)
+        nrm2_bits = _ten_power_bits(2 * fk)
+    else:
+        dot_bits, nrm2_bits = _KEY_BITS, 0  # a lower bound, already past the limit
+    _check_key_bits(e, dot_bits, nrm2_bits)
     alpha = sum(Fraction(1, 10 ** factorial(j)) for j in range(m + 1))
     first = sum(10 ** (factorial(k) - factorial(j)) for j in range(k + 1))
     beta = (first, -(10 ** factorial(k)))
@@ -304,9 +327,8 @@ def liouville_witness(k: int, nu, m: int) -> LiouvilleWitness:
     pairing = abs(pairing)
     tail = 2 * Fraction(1, 10 ** factorial(m + 1)) * 10 ** factorial(k)
     norm_sq = beta[0] * beta[0] + beta[1] * beta[1]
-    nu = Fraction(nu)
-    e = 1 + nu
-    _check_key_bits(e, pairing.numerator.bit_length() + pairing.denominator.bit_length(), norm_sq)
+    dot_bits = pairing.numerator.bit_length() + pairing.denominator.bit_length()
+    _check_key_bits(e, dot_bits, norm_sq.bit_length())
     prod_pow = _power_key(pairing, norm_sq, e)
     return LiouvilleWitness(
         k=k,
@@ -392,6 +414,8 @@ def decay_fit(f: FourierTable) -> DecayFit:
     decay (the holomorphic Fourier class at finite scale); slope >= 0 is
     consistent with the sub-exponential obstruction bound.
     """
+    import numpy as np
+
     pts = [(I, v) for I, v in f.coefficients.items() if v > 0]
     if len(pts) < 3:
         raise InsufficientSupport("decay_fit needs at least 3 nonzero magnitudes")
@@ -444,6 +468,8 @@ def _row_statistic(pts: np.ndarray, s: float, N: int) -> np.ndarray:
     more than any pair at distance >= 1, so widening serves s < 0.  The
     zero sample scores 0.
     """
+    import numpy as np
+
     n = pts.shape[1]
     rows = list(half_ball(n - 1, N))
     K = np.array(rows, dtype=float).reshape(len(rows), n - 1)
@@ -508,6 +534,8 @@ def measure_estimate(
     rechecked exactly: ``kolmogorov_constant`` of its coordinates (exact
     binary fractions) gives m(omega)^(2q) for s = p/q, compared with C^(2q).
     """
+    import numpy as np
+
     if samples < 1:
         raise ValueError("need at least one sample")
     if R < 0:

@@ -472,6 +472,12 @@ def test_schema_error_message_is_cut(tmp_path, capsys, text):
     assert len(out.read_bytes()) < 2048  # a file past 64 KiB is not echoed
 
 
+KEY_TOO_LARGE = {
+    "type": "InvalidInput",
+    "message": "an exact key (|(omega, I)| * |I|^s)^(2q) would take more than 524288 bits",
+}
+
+
 @pytest.mark.parametrize(
     "scen",
     [
@@ -487,10 +493,19 @@ def test_huge_nu_is_refused_before_any_power(tmp_path, capsys, scen):
     t0 = time.perf_counter()
     assert main(["run", write(tmp_path, "s.json", scen), "--out", str(out)]) == 1
     assert time.perf_counter() - t0 < 2
-    assert json.loads(out.read_text())["error"] == {
-        "type": "InvalidInput",
-        "message": "an exact key (|(omega, I)| * |I|^s)^(2q) would take more than 524288 bits",
-    }
+    assert json.loads(out.read_text())["error"] == KEY_TOO_LARGE
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("m", [9, 10, 12, 10**6])
+def test_liouville_large_m_is_refused_before_alpha_is_built(tmp_path, capsys, m):
+    # building alpha_m and the tail 10^-(m+1)! takes seconds from m = 9 on, and so does factorial(10^6)
+    scen = write(tmp_path, "s.json", {"kind": "liouville", "k_values": [1, 2, 3], "nu": "1", "m": m})
+    out = tmp_path / "r.json"
+    t0 = time.perf_counter()
+    assert main(["run", scen, "--out", str(out)]) == 1
+    assert time.perf_counter() - t0 < 2
+    assert json.loads(out.read_text())["error"] == KEY_TOO_LARGE
     assert capsys.readouterr().err == ""
 
 
@@ -505,6 +520,59 @@ def test_integer_past_the_digit_limit_is_a_structured_error(tmp_path, capsys):
         "message": f"a result is an integer of more than {limit} digits, the interpreter's limit for writing one",
     }
     assert capsys.readouterr().err == ""
+
+
+def test_scenario_that_is_not_utf8_is_refused(tmp_path, capsys):
+    scen, out = tmp_path / "s.json", tmp_path / "r.json"
+    scen.write_bytes(b'{"kind": "selftest", "seed": 1}\xff')
+    assert main(["run", str(scen), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "kamforge: cannot read scenario: 'utf-8' codec can't decode byte 0xff in position 31: invalid start byte\n"
+    )
+    assert not out.exists()
+
+
+FLOAT_KINDS = {"hadamard", "measure", "lie-homogeneous", "lie-parametric", "selftest"}
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
+
+# runs scenario files in a fresh process, then names the modules loaded and probes the package's lie names
+LOADED_MODULES = """
+import json, sys
+from kamforge import cli
+*scenarios, out = sys.argv[1:]
+statuses = [cli.main(["run", path, "--out", out]) for path in scenarios]
+loaded = [name for name in ("numpy", "kamforge.lie") if name in sys.modules]
+import kamforge
+try:
+    kamforge.no_such_name
+    missing = False
+except AttributeError:
+    missing = True
+print(json.dumps({"statuses": statuses, "loaded": loaded, "missing": missing,
+                  "same": kamforge.matrix_exp is kamforge.lie.matrix_exp}))
+"""
+
+
+def test_exact_kinds_never_load_numpy(tmp_path):
+    # the test process holds numpy already, so the goldens of every exact kind run in a fresh one
+    scenarios, kinds = [], set()
+    for name in sorted(os.listdir(GOLDEN)):
+        path = os.path.join(GOLDEN, name)
+        if name.endswith(".scenario.json"):
+            with open(path) as fh:
+                kind = json.load(fh)["kind"]
+            if kind not in FLOAT_KINDS:
+                scenarios.append(path)
+                kinds.add(kind)
+    assert kinds == set(cli.SCENARIO_SCHEMAS) - FLOAT_KINDS
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, *scenarios, str(tmp_path / "r.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    statuses = [2 if path.endswith("schema-error.scenario.json") else 0 for path in scenarios]
+    assert json.loads(proc.stdout) == {"statuses": statuses, "loaded": [], "missing": True, "same": True}
 
 
 def test_console_entry_point(tmp_path):

@@ -1,7 +1,7 @@
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice, product
-from math import floor, gcd
+from math import factorial, floor, gcd
 
 import numpy as np
 import pytest
@@ -329,6 +329,21 @@ def test_liouville_products_decrease():
     ws = [liouville_witness(k, 1, 4) for k in (1, 2, 3)]
     powers = [w.product_power() for w in ws]
     assert powers[0] > powers[1] > powers[2]
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_liouville_key_bits_follow_from_k_and_m(m):
+    # the bits liouville_witness checks before building alpha_m are those of the built pairing
+    fm = factorial(m)
+    for k in range(1, m):
+        fk = factorial(k)
+        pairing = sum(Fraction(1, 10 ** (factorial(j) - fk)) for j in range(k + 1, m + 1))
+        assert pairing.numerator.bit_length() == diophantine._ten_power_bits(fm - factorial(k + 1))
+        assert pairing.denominator.bit_length() == diophantine._ten_power_bits(fm - fk)
+        if m <= 7:  # where the witness is built for nu = 1
+            w = liouville_witness(k, 1, m)
+            assert w.pairing_exact == pairing
+            assert w.norm_sq.bit_length() >= diophantine._ten_power_bits(2 * fk)
 
 
 def test_liouville_validation():
