@@ -150,8 +150,10 @@ def validate_scenario(obj) -> str:
     return kind
 
 
-def _scalars(ctx, lst):
-    return tuple(parse_literal(ctx, x) for x in lst)
+def _omega(params) -> tuple:
+    """The scenario's omega, read in its context, and that context."""
+    ctx = ScalarContext.from_json(params["context"])
+    return tuple(parse_literal(ctx, x) for x in params["omega"]), ctx
 
 
 def _floats(value, name):
@@ -166,6 +168,11 @@ def _floats(value, name):
         return np.asarray(value, dtype=float) if isinstance(value, list) else float(value)
     except OverflowError:
         raise InvalidInput(f"{name} holds a number too large for a float") from None
+
+
+def _stopping(params) -> dict:
+    """The stopping fields the scenario sets; ``lie`` holds the defaults of the others."""
+    return {key: params[key] for key in _ITER if key in params}
 
 
 def _nu(params) -> Fraction:
@@ -192,15 +199,12 @@ def _run_nf(params):
 
 
 def _run_resonances(params):
-    ctx = ScalarContext.from_json(params["context"])
-    omega = _scalars(ctx, params["omega"])
-    found = normalform.resonances(omega, params["N"])
+    found = normalform.resonances(_omega(params)[0], params["N"])
     return {"resonances": [list(I) for I in found]}, {}
 
 
 def _run_diophantine(params):
-    ctx = ScalarContext.from_json(params["context"])
-    omega = diophantine.FrequencyVector(_scalars(ctx, params["omega"]), ctx)
+    omega = diophantine.FrequencyVector(*_omega(params))
     est = diophantine.kolmogorov_constant(omega, _nu(params), params["N"])
     return est.to_json(), {"smallest_denominator": est.c_est.to_json()}
 
@@ -219,8 +223,7 @@ def _run_liouville(params):
 def _run_hadamard(params):
     import numpy as np
 
-    ctx = ScalarContext.from_json(params["context"])
-    omega = diophantine.FrequencyVector(_scalars(ctx, params["omega"]), ctx)
+    omega = diophantine.FrequencyVector(*_omega(params))
     h = diophantine.small_denominator_series(omega, params["N"])
     rate = _floats(params["decay_rate"], "decay_rate")
     keys = list(h.coefficients)
@@ -259,18 +262,18 @@ def _run_lie_homogeneous(params):
 
     a = _floats(params["a"], "a")
     b = _floats(params["b"], "b")
-    if a.shape != b.shape or not a @ a > 0:  # |a|^2 may underflow to 0
+    with np.errstate(over="ignore"):
+        norm2 = float(a @ a)  # |a|^2 may underflow to 0 or overflow to inf
+    if a.shape != b.shape or not norm2 > 0:
         raise InvalidInput("lie-homogeneous needs a nonzero vector a and a vector b of its length")
+    if norm2 == math.inf:
+        raise InvalidInput("lie-homogeneous needs a vector a whose |a|^2 is within the float range")
     action = lie.vector_action()
 
     def j(v):
-        return np.outer(v, a) / float(a @ a)
+        return np.outer(v, a) / norm2
 
-    gens, trace = lie.lie_iterate_homogeneous(
-        action, a, b, j,
-        max_iter=params.get("max_iter", 40),
-        tol=params.get("tol", 1e-12),
-    )
+    gens, trace = lie.lie_iterate_homogeneous(action, a, b, j, **_stopping(params))
     x = a + b
     for xi in gens:
         x = action.apply(-xi, x)
@@ -295,11 +298,7 @@ def _run_lie_parametric(params):
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
         raise InvalidInput(msg)
     transversal = lie.transversal_from_commutant(a)
-    gens, alpha_total, trace = lie.lie_iterate_parametric(
-        a, b, transversal,
-        max_iter=params.get("max_iter", 40),
-        tol=params.get("tol", 1e-12),
-    )
+    gens, alpha_total, trace = lie.lie_iterate_parametric(a, b, transversal, **_stopping(params))
     return {
         "trace": trace.to_json(),
         "steps": len(gens),

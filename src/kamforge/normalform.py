@@ -59,29 +59,20 @@ class IntegrableHamiltonian:
 
     @classmethod
     def from_series(cls, series: PoissonSeries) -> "IntegrableHamiltonian":
-        n = series.trunc.n
-        zero_I = (0,) * n
-        for (I, J, k), _ in series.items():
-            if I != zero_I or k != 0:
+        n, zero = series.trunc.n, series.context.zero
+        omega, alpha = [zero] * n, [[zero] * n for _ in range(n)]
+        for (I, J, k), c in series.items():
+            if any(I) or k != 0:
                 raise InvalidInput("integrable Hamiltonian must lie in K[[p]]")
-            if sum(J) == 0:
+            degree = sum(J)
+            if degree == 0:
                 raise InvalidInput("integrable Hamiltonian must have no constant term")
-        omega = tuple(
-            series.coefficient(zero_I, tuple(1 if j == i else 0 for j in range(n)))
-            for i in range(n)
-        )
-        half = Fraction(1, 2)
-        alpha = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                J = [0] * n
-                J[i] += 1
-                J[j] += 1
-                c = series.coefficient(zero_I, tuple(J))
-                row.append(c if i == j else c * half)
-            alpha.append(tuple(row))
-        return cls(series=series, omega=omega, alpha=tuple(alpha))
+            if degree == 1:
+                omega[J.index(1)] = c
+            elif degree == 2:  # c p_i p_j, with i = j when J holds a 2
+                i, j = (x for x, e in enumerate(J) for _ in range(e))
+                alpha[i][j] = alpha[j][i] = c if i == j else c * Fraction(1, 2)
+        return cls(series=series, omega=tuple(omega), alpha=tuple(map(tuple, alpha)))
 
     @cached_property
     def _frequencies(self) -> FrequencyVector:
@@ -411,8 +402,6 @@ def _hyperbolic_class(H: PoissonSeries, f: PoissonSeries) -> NormalSpaceClass:
     pq = PoissonSeries.monomial(H.context, H.trunc, H.mode, 1, I=(1,), J=(1,))
     if H != pq:
         raise ValueError("hyperbolic case expects H = p q")
-    if f.t_part(0) != f:
-        raise ValueError("normal-space classes are computed for t-free elements")
     # a term c p^i q^j has I = (j,) and J = (i,); {pq, p^i q^j} = (j - i) p^i q^j
     # under this bracket convention, so g has the terms c / (j - i), i != j
     g = f._gathered([(P, a, b, f._den * (I[0] - J[0])) for P, I, J, _, a, b in f._terms() if I != J])
@@ -433,6 +422,8 @@ def normal_space_class(H, f: PoissonSeries) -> NormalSpaceClass:
     used); symplectic mode handles the hyperbolic pair H = pq, n = 1 and
     returns the coefficient of the class [pq].
     """
+    if f.t_part(0) != f:
+        raise ValueError("normal-space classes are computed for t-free elements")
     if isinstance(H, PoissonSeries):
         if H.mode != "symplectic":
             raise ValueError("a raw series Hamiltonian is only used in symplectic mode")
@@ -441,12 +432,10 @@ def normal_space_class(H, f: PoissonSeries) -> NormalSpaceClass:
     H.series._check(f)
     n = f.trunc.n
     zero_I = (0,) * n
-    if f.t_part(0) != f:
-        raise ValueError("normal-space classes are computed for t-free elements")
     kill = f.select(lambda I, J, k: I != zero_I and sum(J) <= 1)
+    # the residual is the I != 0 terms of p-degree >= 2 that the solve creates
     g, residual = homological_solve(H, -kill, p_cap=1)
-    spill = residual  # I != 0 terms of p-degree >= 2 created by the solve
-    ideal = f.select(lambda I, J, k: sum(J) >= 2) - spill
+    ideal = f.select(lambda I, J, k: sum(J) >= 2) - residual
     unit_J = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     nu = tuple(f.coefficient(zero_I, unit_J[i]) for i in range(n))
     const = f.coefficient(zero_I)

@@ -51,7 +51,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from math import comb, gcd, lcm
 
 from .errors import ContextMismatch, GeneratorOrderViolation, InvalidInput
@@ -425,22 +425,15 @@ class PoissonSeries:
     __hash__ = None
 
     # -- serialization ----------------------------------------------------
-    def _sorted_terms(self):
-        """(I, J, k, a, b) in the order of the keys (I, J, k)."""
-        decoded, num = self.trunc._keys, self._num
-        for P in sorted(num):
-            I, J, k, _, _ = decoded[P]
-            yield I, J, k, *num[P]
-
     def to_json(self) -> dict:
-        ctx, D = self.context, self._den
-        terms = [
-            [list(I), list(J), k, literal_of(ctx, a, b, D)]
-            for I, J, k, a, b in self._sorted_terms()
-        ]
+        ctx, D, decoded, num = self.context, self._den, self.trunc._keys, self._num
+        terms = []
+        for P in sorted(num):  # the integer order of the keys is the order of (I, J, k)
+            I, J, k, _, _ = decoded[P]
+            terms.append([list(I), list(J), k, literal_of(ctx, *num[P], D)])
         return {
             "n": self.trunc.n,
-            "context": self.context.to_json(),
+            "context": ctx.to_json(),
             "trunc": self.trunc.to_json(),
             "mode": self.mode,
             "terms": terms,
@@ -571,9 +564,11 @@ def average(f: PoissonSeries) -> PoissonSeries:
 class Generator:
     """A flow generator: a Hamiltonian S (inner) or a translation shift.
 
-    Hamiltonian generators require min t-degree >= 1 in S so the
-    exponential is nilpotent modulo truncation; translations replace
-    p_j by p_j + d_j t^order with order >= 1.
+    Every generator is checked when it is built, by a factory, by
+    ``inverse`` or directly: a Hamiltonian S must have min t-degree >= 1,
+    so that each ad_S raises every t-degree and the exponential is
+    nilpotent modulo truncation; a translation replaces p_j by
+    p_j + d_j t^order with order >= 1.
     """
 
     kind: str
@@ -581,24 +576,26 @@ class Generator:
     order: int = 0
     shift: tuple = ()
 
+    def __post_init__(self):
+        if self.kind == "hamiltonian":
+            if not isinstance(self.S, PoissonSeries):
+                raise InvalidInput("a hamiltonian generator needs a series S")
+            mt = self.S.min_t_degree()
+            if mt is not None and mt < 1:
+                raise GeneratorOrderViolation("hamiltonian generator must have min t-degree >= 1")
+        elif self.kind == "translation":
+            if self.order < 1:
+                raise GeneratorOrderViolation("translation order must be >= 1")
+        else:
+            raise InvalidInput(f"unknown generator kind {self.kind!r}")
+
     @staticmethod
     def hamiltonian(S: PoissonSeries) -> "Generator":
-        mt = S.min_t_degree()
-        if mt is not None and mt < 1:
-            raise GeneratorOrderViolation(
-                "hamiltonian generator must have min t-degree >= 1"
-            )
         return Generator(kind="hamiltonian", S=S)
 
     @staticmethod
     def translation(order: int, shift, context: ScalarContext) -> "Generator":
-        if order < 1:
-            raise GeneratorOrderViolation("translation order must be >= 1")
-        return Generator(
-            kind="translation",
-            order=order,
-            shift=tuple(context.coerce(x) for x in shift),
-        )
+        return Generator(kind="translation", order=order, shift=tuple(context.coerce(x) for x in shift))
 
     def inverse(self) -> "Generator":
         if self.kind == "hamiltonian":
@@ -617,19 +614,14 @@ class Generator:
 
 def _apply_hamiltonian_flow(S: PoissonSeries, f: PoissonSeries) -> PoissonSeries:
     f._check(S)
-    out = f
-    term = f
-    m = 1
-    # each ad_S raises every t-degree by >= 1, so this terminates
-    while True:
+    out = term = f
+    # S has t-degree >= 1 (Generator checks it), so each ad_S raises every
+    # t-degree and the terms vanish past Dt
+    for m in count(1):
         term = poisson_bracket(term, S).scale(Fraction(1, m))
         if term.is_zero():
-            break
+            return out
         out = out + term
-        m += 1
-        if m > f.trunc.Dt + 1:
-            break
-    return out
 
 
 def _apply_translation_flow(order: int, shift, f: PoissonSeries) -> PoissonSeries:
@@ -695,9 +687,7 @@ def flow_apply(gen: Generator, f: PoissonSeries) -> PoissonSeries:
     """
     if gen.kind == "hamiltonian":
         return _apply_hamiltonian_flow(gen.S, f)
-    if gen.kind == "translation":
-        return _apply_translation_flow(gen.order, gen.shift, f)
-    raise ValueError(f"unknown generator kind {gen.kind!r}")
+    return _apply_translation_flow(gen.order, gen.shift, f)
 
 
 def compose_flows(gens, f: PoissonSeries) -> PoissonSeries:

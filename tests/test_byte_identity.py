@@ -1,11 +1,16 @@
-"""Normal-form reports must stay byte-identical to their recorded hashes.
+"""Exact-arithmetic reports must stay byte-identical to their recorded hashes.
 
-``tests/data/byte_identity.json`` holds the 49 seed-1 scenarios of the
-benchmark's nf-quadratic and nf-rational workloads, each with the exit
-code and the SHA-256 of the report ``kamforge run`` wrote for it; the
-scenarios are ``generate(workload, 1)`` of ``perfbench/scenarios.py``.
-The reports use exact arithmetic only, so the hashes do not depend on the
-machine.  A refactor or an optimisation must leave them all unchanged.
+``tests/data/byte_identity.json`` holds 55 seed-1 scenarios of the
+benchmark, each with the exit code and the SHA-256 of the report
+``kamforge run`` wrote for it: the 49 of the nf-quadratic and nf-rational
+workloads, and the six exact ones of small-denominators (``dioph10``,
+``dioph100``, ``dioph1000``, ``dioph2000``, ``liouville`` and
+``resonances``).  The scenarios are ``generate(workload, 1)`` of
+``perfbench/scenarios.py``.  The float kinds (``measure``, ``hadamard``
+and the Lie kinds) are left out, since their bytes depend on numpy and
+BLAS; every kept report uses exact arithmetic only, so its hash does not
+depend on the machine.  A refactor or an optimisation must leave them all
+unchanged.
 Regenerate the file only in a change that alters reports on purpose and
 records that in CHANGES.md (a correctness fix such as an honest
 truncation window).

@@ -301,6 +301,8 @@ BAD_INPUT = {
     # |a|^2 underflows to 0, and a tiny |a|^2 leaves j no right inverse in floats
     "lie-homogeneous-underflowing-a": {"kind": "lie-homogeneous", "a": [5e-324], "b": [0.0]},
     "lie-homogeneous-tiny-a": {"kind": "lie-homogeneous", "a": [1e-160], "b": [0.0]},
+    # |a|^2 overflows to inf, so j(v) = v a^T / |a|^2 would be 0
+    "lie-homogeneous-overflowing-a": {"kind": "lie-homogeneous", "a": [1e308, 1e308], "b": [0, 0]},
 }
 # the other cases end in InvalidInput with exit 1
 EXPECTED = {
@@ -345,10 +347,9 @@ def test_invalid_scalar_input_is_report_not_crash(tmp_path, case):
         assert report["scenario"] is None
 
 
-def test_hadamard_overflow_is_a_silent_report(tmp_path):
-    # exp(1000 |I|) overflows: the report names the non-finite fit, and
-    # numpy's overflow warning does not reach stderr
-    scen = write(tmp_path, "s.json", BAD_INPUT["hadamard-nan-fit"])
+def _run_in_a_fresh_process(tmp_path, scenario):
+    """(exit code, stderr, report) of ``python -m kamforge.cli run`` on ``scenario``."""
+    scen = write(tmp_path, "s.json", scenario)
     out = tmp_path / "r.json"
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
@@ -356,9 +357,41 @@ def test_hadamard_overflow_is_a_silent_report(tmp_path):
         [sys.executable, "-m", "kamforge.cli", "run", scen, "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert proc.returncode == 1
-    assert proc.stderr == ""
-    assert json.loads(out.read_text())["error"]["type"] == "NonFiniteResult"
+    return proc.returncode, proc.stderr, json.loads(out.read_text())
+
+
+def test_hadamard_overflow_is_a_silent_report(tmp_path):
+    # exp(1000 |I|) overflows: the report names the non-finite fit, and
+    # numpy's overflow warning does not reach stderr
+    rc, err, report = _run_in_a_fresh_process(tmp_path, BAD_INPUT["hadamard-nan-fit"])
+    assert (rc, err) == (1, "")
+    assert report["error"]["type"] == "NonFiniteResult"
+
+
+def test_lie_homogeneous_overflow_is_a_silent_refusal(tmp_path):
+    # |a|^2 overflows: the report says so, without numpy's overflow warning
+    rc, err, report = _run_in_a_fresh_process(tmp_path, BAD_INPUT["lie-homogeneous-overflowing-a"])
+    assert rc == 1
+    assert "RuntimeWarning" not in err
+    assert report["error"]["type"] == "InvalidInput"
+    assert "within the float range" in report["error"]["message"]
+
+
+def test_lie_stopping_fields_default_in_lie(tmp_path):
+    # a scenario without max_iter and tol runs on lie's defaults (40, 1e-12);
+    # one that sets a field runs on it
+    for scen in (
+        {"kind": "lie-homogeneous", "a": [1.0, 0.0], "b": [0.01, 0.02]},
+        {"kind": "lie-parametric", "a": [[1.0, 0.0], [0.0, 2.0]], "b": [[0.01, -0.008], [0.006, 0.011]]},
+    ):
+        results = []
+        for stop in ({}, {"max_iter": 40, "tol": 1e-12}, {"max_iter": 1, "tol": 1e-30}):
+            out = tmp_path / "r.json"
+            assert run_scenario(write(tmp_path, "s.json", {**scen, **stop}), str(out)) == 0
+            results.append(json.loads(out.read_text())["results"])
+        assert results[0] == results[1]
+        assert results[1]["steps"] > 1
+        assert (results[2]["steps"], results[2]["trace"]["termination"]) == (1, "max_iter")
 
 
 def test_failing_selftest_exits_nonzero_on_run(tmp_path, monkeypatch):
@@ -427,6 +460,23 @@ def test_unwritable_out_exits_2_without_temporary_files(tmp_path, capsys, target
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith(f"kamforge: cannot write report: {out}: ")
     assert list(tmp_path.rglob(".kamforge-*")) == []
+
+
+def test_failed_replace_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
+    # the report is written to a temporary file and moved over the old one;
+    # when the move fails, the temporary file goes and the old report stays
+    out = tmp_path / "r.json"
+    out.write_text("old report\n")
+    scen = write(tmp_path, "s.json", KNF)
+
+    def failing_replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert main(["run", scen, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"kamforge: cannot write report: {out}: No space left on device"
+    assert list(tmp_path.rglob(".kamforge-*")) == []
+    assert out.read_text() == "old report\n"
 
 
 @pytest.mark.parametrize("field", ["x", "seed"])  # an extra field, and one the schema checks

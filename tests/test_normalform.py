@@ -62,6 +62,17 @@ def test_integrable_extraction():
     )
     assert H.omega == (3, -1)
     assert H.alpha == ((Fraction(1, 2), Fraction(2)), (Fraction(2), Fraction(0)))
+    # n = 3 over Q(sqrt 2): the cubic term is neither omega nor alpha
+    s2, zero = CTX2.sqrt_d(), (0, 0, 0)
+    H3 = integrable(
+        CTX2,
+        TruncationSpec(n=3, Dp=3, Dt=0, Nq=1),
+        {(zero, (0, 0, 1), 0): s2, (zero, (1, 0, 1), 0): 3, (zero, (0, 2, 0), 0): Fraction(1, 2),
+         (zero, (1, 0, 0), 0): 1, (zero, (1, 1, 1), 0): 7},
+    )
+    assert H3.omega == (1, 0, s2)
+    h = Fraction(3, 2)
+    assert H3.alpha == ((0, 0, h), (0, Fraction(1, 2), 0), (h, 0, 0))
     with pytest.raises(ValueError):
         integrable(RATIONAL, TR1, {((1,), (0,), 0): 1})
     with pytest.raises(ValueError):
@@ -508,3 +519,32 @@ def test_per_order_diagnostics_and_serialization():
     blob = res.to_json()
     assert blob["normal"] == res.normal.to_json()
     assert isinstance(blob["generators"], list)
+
+
+def _normal_space_refusals():
+    """Per case: H, an f, and the message of the one check that the pair breaks."""
+    tr1 = TruncationSpec(n=1, Dp=2, Dt=1, Nq=2)
+    tr2 = TruncationSpec(n=2, Dp=2, Dt=0, Nq=2)
+
+    def mono(tr, mode, **key):
+        return PoissonSeries.monomial(RATIONAL, tr, mode, 1, **key)
+
+    pq = mono(tr1, "symplectic", I=(1,), J=(1,))
+    return {
+        "t-dependent": (pq, pq + mono(tr1, "symplectic", k=1), "t-free elements"),
+        "t-dependent-torus": (
+            integrable(RATIONAL, tr1, {((0,), (1,), 0): 1}),
+            mono(tr1, "torus", I=(1,), k=1),
+            "t-free elements",
+        ),
+        "raw-torus-H": (mono(tr1, "torus", I=(1,), J=(1,)), mono(tr1, "torus", I=(2,), J=(1,)), "only used in symplectic mode"),
+        "two-dimensional": (mono(tr2, "symplectic", I=(1, 0), J=(1, 0)), mono(tr2, "symplectic", I=(0, 1)), "one-dimensional"),
+        "not-pq": (pq.scale(2), mono(tr1, "symplectic", I=(2,), J=(1,)), "expects H = p q"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_normal_space_refusals()))
+def test_normal_space_class_refuses_each_bad_input(case):
+    H, f, message = _normal_space_refusals()[case]
+    with pytest.raises(ValueError, match=message):
+        normal_space_class(H, f)

@@ -124,6 +124,21 @@ def test_generator_validation():
         Generator.translation(0, [1], RATIONAL)
 
 
+def test_generator_built_without_its_factory_is_checked():
+    # S = p^2 has t-degree 0: its Lie series would not close in the window,
+    # and flow_apply would cut it short (q - 2qp instead of q e^(-2p))
+    tr = TruncationSpec(n=1, Dp=6, Dt=0, Nq=3)
+    S = mono(RATIONAL, tr, "torus", 1, J=(2,))
+    with pytest.raises(GeneratorOrderViolation):
+        Generator(kind="hamiltonian", S=S)
+    with pytest.raises(GeneratorOrderViolation):
+        Generator(kind="translation", order=0, shift=(1,))
+    with pytest.raises(ValueError, match="unknown generator kind"):
+        Generator(kind="nonsense")
+    with pytest.raises(InvalidInput, match="needs a series S"):
+        Generator(kind="hamiltonian")
+
+
 def test_compose_flows_and_inverses(rng):
     tr = TruncationSpec(n=2, Dp=4, Dt=3, Nq=6)
     f = random_series(rng, RATIONAL, tr, "torus", n_terms=5)
@@ -134,6 +149,7 @@ def test_compose_flows_and_inverses(rng):
     gens = [
         Generator.hamiltonian(S),
         Generator.translation(2, [Fraction(1, 3), Fraction(-2, 1)], RATIONAL),
+        Generator(kind="translation", order=1, shift=(RATIONAL.coerce(Fraction(-1, 2)), RATIONAL.coerce(3))),
     ]
     for g in gens:
         assert compose_flows([g, g.inverse()], f) == f
@@ -411,3 +427,17 @@ def test_series_constructor_validation():
         PoissonSeries(RATIONAL, TR1, "torus", {((0,), (-1,), 0): 1})  # negative p-power
     with pytest.raises(ValueError):
         PoissonSeries(RATIONAL, TR1, "nonsense", {})
+
+
+@pytest.mark.parametrize(
+    "n, Dp, Dt, Nq, message",
+    [
+        (0, 1, 1, 1, "dimension n must be >= 1"),
+        (1, -1, 1, 1, "truncation bounds must be >= 0"),
+        (1, 1, -1, 1, "truncation bounds must be >= 0"),
+        (1, 1, 1, -1, "truncation bounds must be >= 0"),
+    ],
+)
+def test_truncation_spec_validation(n, Dp, Dt, Nq, message):
+    with pytest.raises(ValueError, match=message):
+        TruncationSpec(n=n, Dp=Dp, Dt=Dt, Nq=Nq)
