@@ -8,7 +8,9 @@ on explicit request.
 
 numpy, and ``lie`` with it, is imported only by the handlers of the float
 kinds (hadamard, measure, lie-homogeneous, lie-parametric) and by
-``selftest``, so an exact scenario runs without loading it.
+``selftest``, so an exact scenario runs without loading it.  jsonschema is
+imported only for a scenario that ``_plainly_valid`` cannot prove valid,
+so a schema-valid run never loads it.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ import tempfile
 import time
 from fractions import Fraction
 from functools import cache
-
-import jsonschema
 
 from . import __version__, diophantine, normalform, series
 from .errors import InvalidInput, KamError, NonFiniteResult, ResonantDenominator, ResultTooLarge, SchemaError
@@ -127,22 +127,70 @@ SCENARIO_SCHEMAS = {
     "selftest": _schema("selftest", {}, {"seed": _SEED}),
 }
 
-# built once; validate_scenario picks the error to report as jsonschema.validate does
-_VALIDATORS = {
-    kind: jsonschema.validators.validator_for(schema)(schema)
-    for kind, schema in SCENARIO_SCHEMAS.items()
+# the types a JSON value of each schema type can have; bool is no number
+_PLAIN_TYPES = {"object": (dict,), "array": (list,), "string": (str,), "integer": (int,), "number": (int, float)}
+# keyword -> whether obj provably meets it; the keywords of SCENARIO_SCHEMAS and no others
+_PLAIN_CHECKS = {
+    "type": lambda obj, want, schema: any(
+        type(obj) in _PLAIN_TYPES.get(name, ()) for name in ([want] if type(want) is str else want)
+    ),
+    "const": lambda obj, value, schema: type(obj) is str and obj == value,
+    "enum": lambda obj, values, schema: type(obj) is str and obj in values,
+    "minimum": lambda obj, low, schema: type(obj) in (int, float) and obj >= low,
+    # each of the others constrains one container type and passes any other value
+    "properties": lambda obj, subs, schema: type(obj) is not dict
+    or all(_plainly_valid(obj[name], sub) for name, sub in subs.items() if name in obj),
+    "required": lambda obj, names, schema: type(obj) is not dict or all(name in obj for name in names),
+    "additionalProperties": lambda obj, extra, schema: type(obj) is not dict
+    or (extra is False and all(name in schema.get("properties", ()) for name in obj)),
+    "items": lambda obj, sub, schema: type(obj) is not list
+    or all(_plainly_valid(x, sub) for x in obj[len(schema.get("prefixItems", ())) :]),
+    "prefixItems": lambda obj, subs, schema: type(obj) is not list
+    or all(_plainly_valid(x, sub) for x, sub in zip(obj, subs)),
+    "minItems": lambda obj, low, schema: type(obj) is not list or len(obj) >= low,
+    "maxItems": lambda obj, high, schema: type(obj) is not list or len(obj) <= high,
 }
 
 
+def _plainly_valid(obj, schema: dict) -> bool:
+    """True only if ``obj`` provably matches ``schema``, False when in doubt.
+
+    It knows the keywords of ``_PLAIN_CHECKS`` and no others, and its types
+    are strict: an integer is an int, never a bool or an integral float
+    such as 1.0, which jsonschema accepts.  Each call descends one schema
+    level, so the depth of ``obj`` cannot exhaust the stack.
+    """
+    return all(key in _PLAIN_CHECKS and _PLAIN_CHECKS[key](obj, value, schema) for key, value in schema.items())
+
+
+@cache
+def _validator(kind: str):
+    """The jsonschema validator of one kind, built on first need."""
+    import jsonschema
+
+    schema = SCENARIO_SCHEMAS[kind]
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
 def validate_scenario(obj) -> str:
+    """The scenario's kind; SchemaError, with jsonschema's message, when it does not match.
+
+    A scenario that ``_plainly_valid`` proves valid never reaches
+    jsonschema.  Any other goes through it, which gives the verdict and
+    picks the error to report as ``jsonschema.validate`` does.
+    """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError("scenario must be an object with a 'kind' field")
     kind = obj["kind"]
-    validator = _VALIDATORS.get(kind) if isinstance(kind, str) else None
-    if validator is None:
+    schema = SCENARIO_SCHEMAS.get(kind) if isinstance(kind, str) else None
+    if schema is None:
         raise SchemaError(f"unknown scenario kind {kind!r}")
+    if _plainly_valid(obj, schema):
+        return kind
+    import jsonschema
+
     try:
-        error = jsonschema.exceptions.best_match(validator.iter_errors(obj))
+        error = jsonschema.exceptions.best_match(_validator(kind).iter_errors(obj))
     except RecursionError:  # a value nested almost as deep as json.load reads
         raise SchemaError(f"scenario is nested too deeply to check against the {kind!r} schema") from None
     if error is not None:
@@ -627,12 +675,7 @@ def run_scenario(path: str, out: str | None = None, timings: bool = False) -> in
         return 2
     except SchemaError as exc:  # the report cannot echo a non-finite number
         return _schema_error(None, exc, out)
-    if len(text) > _ECHO_CHARS:  # a schema error does not echo a file this large
-        try:
-            validate_scenario(raw)
-        except SchemaError as exc:
-            return _schema_error(None, exc, out)
-    return _execute(raw, out, timings)
+    return _execute(raw, out, timings, echo=len(text) <= _ECHO_CHARS)
 
 
 def _finite(text: str) -> float:
@@ -666,16 +709,17 @@ def _schema_error(raw, exc: SchemaError, out: str | None) -> int:
     return _write_report(_dumps({"scenario": raw, "version": __version__, "error": error}), out, 2)
 
 
-def _execute(raw, out: str | None, timings: bool) -> int:
+def _execute(raw, out: str | None, timings: bool, echo: bool = True) -> int:
     """Validate and run one scenario object and write its report.
 
-    Exit status: 0 on success, 1 on a structured computational error or a
+    A schema-error report echoes the scenario only if ``echo``.  Exit
+    status: 0 on success, 1 on a structured computational error or a
     failing selftest property, 2 on a schema error.
     """
     try:
         kind = validate_scenario(raw)
     except SchemaError as exc:
-        return _schema_error(raw, exc, out)
+        return _schema_error(raw if echo else None, exc, out)
     report = {"scenario": raw, "version": __version__}
     series.reset_drop_count()
     t0 = time.perf_counter()

@@ -94,11 +94,17 @@ def transversal_from_commutant(A: np.ndarray, seed: int = 0) -> SubspaceBasis:
 
     Verifies <[A, X], B^T> = 0 (trace inner product) for ``ORBIT_CHECKS``
     random X per B before returning; failure raises OrthogonalityCheckFailed.
+    An A whose norm overflows would make that check vacuous, so it raises
+    InvalidInput first.
     """
     A = np.asarray(A, dtype=float)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(A))
+    if not np.isfinite(norm):
+        raise InvalidInput("the commutant transversal needs a matrix a whose norm is within the float range")
     base = commutant_basis(A)
     rng = np.random.default_rng(seed)
-    scale = max(1.0, float(np.linalg.norm(A)))
+    scale = max(1.0, norm)
     for B in base.mats:
         for _ in range(ORBIT_CHECKS):
             X = rng.standard_normal(A.shape)

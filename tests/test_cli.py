@@ -303,6 +303,8 @@ BAD_INPUT = {
     "lie-homogeneous-tiny-a": {"kind": "lie-homogeneous", "a": [1e-160], "b": [0.0]},
     # |a|^2 overflows to inf, so j(v) = v a^T / |a|^2 would be 0
     "lie-homogeneous-overflowing-a": {"kind": "lie-homogeneous", "a": [1e308, 1e308], "b": [0, 0]},
+    # ||a|| overflows to inf, so the orbit check of the transversal could never fail
+    "lie-parametric-overflowing-a": {"kind": "lie-parametric", "a": [[1e300, 0], [0, 1]], "b": [[0, 0], [0, 0]]},
 }
 # the other cases end in InvalidInput with exit 1
 EXPECTED = {
@@ -375,6 +377,33 @@ def test_lie_homogeneous_overflow_is_a_silent_refusal(tmp_path):
     assert "RuntimeWarning" not in err
     assert report["error"]["type"] == "InvalidInput"
     assert "within the float range" in report["error"]["message"]
+
+
+def test_lie_parametric_overflow_is_a_silent_refusal(tmp_path):
+    # ||a|| overflows: the transversal is refused before its orbit check, without numpy's warning
+    rc, err, report = _run_in_a_fresh_process(tmp_path, BAD_INPUT["lie-parametric-overflowing-a"])
+    assert (rc, err) == (1, "")
+    assert report["error"]["type"] == "InvalidInput"
+    assert "within the float range" in report["error"]["message"]
+
+
+def test_large_scenario_is_validated_once(tmp_path, monkeypatch):
+    # a file past _ECHO_CHARS is checked once, whether it is valid or not
+    calls = []
+
+    def counted(obj):
+        calls.append(obj)
+        return validate_scenario(obj)
+
+    monkeypatch.setattr(cli, "validate_scenario", counted)
+    for scen, rc in ((KNF, 0), ({**KNF, "trunc": {**KNF["trunc"], "Dp": -1}}, 2)):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scen) + " " * cli._ECHO_CHARS)
+        out = tmp_path / "r.json"
+        calls.clear()
+        assert run_scenario(str(path), str(out)) == rc
+        assert len(calls) == 1
+    assert json.loads(out.read_text())["scenario"] is None  # a schema error does not echo it
 
 
 def test_lie_stopping_fields_default_in_lie(tmp_path):
@@ -591,7 +620,7 @@ import json, sys
 from kamforge import cli
 *scenarios, out = sys.argv[1:]
 statuses = [cli.main(["run", path, "--out", out]) for path in scenarios]
-loaded = [name for name in ("numpy", "kamforge.lie") if name in sys.modules]
+loaded = [name for name in ("numpy", "kamforge.lie", "jsonschema") if name in sys.modules]
 import kamforge
 try:
     kamforge.no_such_name
@@ -601,6 +630,17 @@ except AttributeError:
 print(json.dumps({"statuses": statuses, "loaded": loaded, "missing": missing,
                   "same": kamforge.matrix_exp is kamforge.lie.matrix_exp}))
 """
+
+
+def _probe_loaded(*args):
+    """The LOADED_MODULES probe's output for ``args``: scenario files, then the report path."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def test_exact_kinds_never_load_numpy(tmp_path):
@@ -615,14 +655,29 @@ def test_exact_kinds_never_load_numpy(tmp_path):
                 scenarios.append(path)
                 kinds.add(kind)
     assert kinds == set(cli.SCENARIO_SCHEMAS) - FLOAT_KINDS
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", LOADED_MODULES, *scenarios, str(tmp_path / "r.json")],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
     statuses = [2 if path.endswith("schema-error.scenario.json") else 0 for path in scenarios]
-    assert json.loads(proc.stdout) == {"statuses": statuses, "loaded": [], "missing": True, "same": True}
+    # only the schema-error golden loads jsonschema
+    probe = _probe_loaded(*scenarios, str(tmp_path / "r.json"))
+    assert probe == {"statuses": statuses, "loaded": ["jsonschema"], "missing": True, "same": True}
+
+
+def test_schema_valid_runs_never_load_jsonschema(tmp_path):
+    # every schema-valid golden, of every kind, passes the plain check, so jsonschema stays unloaded
+    names = sorted(name for name in os.listdir(GOLDEN) if name.endswith(".scenario.json"))
+    valid = [os.path.join(GOLDEN, name) for name in names if name != "schema-error.scenario.json"]
+    lie_kinds = [
+        write(tmp_path, "lie-homogeneous.json", {"kind": "lie-homogeneous", "a": [1.0, 0.0], "b": [0.01, 0.02]}),
+        write(tmp_path, "lie-parametric.json", {"kind": "lie-parametric", "a": [[1, 0], [0, 2]], "b": [[0, 0.01], [0, 0]]}),
+    ]
+    probe = _probe_loaded(*valid, *lie_kinds, str(tmp_path / "r.json"))
+    assert 2 not in probe["statuses"]  # hadamard-resonant ends in a structured error, exit 1
+    assert "jsonschema" not in probe["loaded"]
+    assert _probe_loaded(str(tmp_path / "r.json"))["loaded"] == []  # import kamforge.cli alone
+    # a schema error loads it, for its verdict and message, and its report is the golden one
+    probe = _probe_loaded(os.path.join(GOLDEN, "schema-error.scenario.json"), str(tmp_path / "r.json"))
+    assert (probe["statuses"], probe["loaded"]) == ([2], ["jsonschema"])
+    with open(os.path.join(GOLDEN, "schema-error.report.json"), "rb") as fh:
+        assert (tmp_path / "r.json").read_bytes() == fh.read()
 
 
 def test_console_entry_point(tmp_path):
