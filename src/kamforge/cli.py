@@ -8,9 +8,8 @@ on explicit request.
 
 numpy, and ``lie`` with it, is imported only by the handlers of the float
 kinds (hadamard, measure, lie-homogeneous, lie-parametric) and by
-``selftest``, so an exact scenario runs without loading it.  jsonschema is
-imported only for a scenario that ``_plainly_valid`` cannot prove valid,
-so a schema-valid run never loads it.
+``selftest``, so an exact scenario runs without loading it.  Scenarios are
+checked against ``SCENARIO_SCHEMAS`` by ``_violations``, with strict types.
 """
 
 from __future__ import annotations
@@ -127,74 +126,74 @@ SCENARIO_SCHEMAS = {
     "selftest": _schema("selftest", {}, {"seed": _SEED}),
 }
 
-# the types a JSON value of each schema type can have; bool is no number
-_PLAIN_TYPES = {"object": (dict,), "array": (list,), "string": (str,), "integer": (int,), "number": (int, float)}
-# keyword -> whether obj provably meets it; the keywords of SCENARIO_SCHEMAS and no others
-_PLAIN_CHECKS = {
-    "type": lambda obj, want, schema: any(
-        type(obj) in _PLAIN_TYPES.get(name, ()) for name in ([want] if type(want) is str else want)
-    ),
-    "const": lambda obj, value, schema: type(obj) is str and obj == value,
-    "enum": lambda obj, values, schema: type(obj) is str and obj in values,
-    "minimum": lambda obj, low, schema: type(obj) in (int, float) and obj >= low,
-    # each of the others constrains one container type and passes any other value
-    "properties": lambda obj, subs, schema: type(obj) is not dict
-    or all(_plainly_valid(obj[name], sub) for name, sub in subs.items() if name in obj),
-    "required": lambda obj, names, schema: type(obj) is not dict or all(name in obj for name in names),
-    "additionalProperties": lambda obj, extra, schema: type(obj) is not dict
-    or (extra is False and all(name in schema.get("properties", ()) for name in obj)),
-    "items": lambda obj, sub, schema: type(obj) is not list
-    or all(_plainly_valid(x, sub) for x in obj[len(schema.get("prefixItems", ())) :]),
-    "prefixItems": lambda obj, subs, schema: type(obj) is not list
-    or all(_plainly_valid(x, sub) for x, sub in zip(obj, subs)),
-    "minItems": lambda obj, low, schema: type(obj) is not list or len(obj) >= low,
-    "maxItems": lambda obj, high, schema: type(obj) is not list or len(obj) <= high,
-}
+# the types a JSON value of each schema type can have: bool is no number, 1.0 no integer
+_TYPES = {"object": (dict,), "array": (list,), "string": (str,), "integer": (int,), "number": (int, float)}
 
 
-def _plainly_valid(obj, schema: dict) -> bool:
-    """True only if ``obj`` provably matches ``schema``, False when in doubt.
+def _violations(obj, schema: dict, path: tuple = ()):
+    """Yield every way ``obj`` breaks ``schema``, as (path of the offending value, message).
 
-    It knows the keywords of ``_PLAIN_CHECKS`` and no others, and its types
-    are strict: an integer is an int, never a bool or an integral float
-    such as 1.0, which jsonschema accepts.  Each call descends one schema
-    level, so the depth of ``obj`` cannot exhaust the stack.
+    Keywords are read in schema order and worded as by jsonschema 4.26, with
+    strict ``_TYPES``; one it does not know raises KeyError.  Each call
+    descends one schema level, so the depth of ``obj`` cannot exhaust the stack.
     """
-    return all(key in _PLAIN_CHECKS and _PLAIN_CHECKS[key](obj, value, schema) for key, value in schema.items())
-
-
-@cache
-def _validator(kind: str):
-    """The jsonschema validator of one kind, built on first need."""
-    import jsonschema
-
-    schema = SCENARIO_SCHEMAS[kind]
-    return jsonschema.validators.validator_for(schema)(schema)
+    want = schema.get("type", ())
+    typed = type(obj) in _TYPES[want] if type(want) is str else any(type(obj) in _TYPES[name] for name in want)
+    is_dict, is_number = type(obj) is dict, type(obj) in (int, float)
+    size = len(obj) if type(obj) is list else -1  # -1 for a value that is no array
+    for key, value in schema.items():
+        message, children = None, ()
+        if key == "type":
+            names = [value] if type(value) is str else value
+            message = not typed and f"{obj!r} is not of type {', '.join(map(repr, names))}"
+        elif key == "const":
+            message = obj != value and f"{value!r} was expected"
+        elif key == "enum":
+            message = obj not in value and f"{obj!r} is not one of {value!r}"
+        elif key == "minimum":
+            message = is_number and obj < value and f"{obj!r} is less than the minimum of {value!r}"
+        elif key == "minItems":
+            message = 0 <= size < value and f"{obj!r} {'should be non-empty' if value == 1 else 'is too short'}"
+        elif key == "maxItems":
+            message = size > value and f"{obj!r} {'is expected to be empty' if value == 0 else 'is too long'}"
+        elif key == "required":
+            missing = [name for name in value if name not in obj] if is_dict else ()
+            yield from ((path, f"{name!r} is a required property") for name in missing)
+        elif key == "additionalProperties" and value is False:
+            extras = sorted(name for name in obj if name not in schema.get("properties", ())) if is_dict else ()
+            listed = ", ".join(map(repr, extras)) + (" was" if len(extras) == 1 else " were")
+            message = extras and f"Additional properties are not allowed ({listed} unexpected)"
+        elif key == "properties":
+            children = [(name, sub) for name, sub in value.items() if name in obj] if is_dict else ()
+        elif key == "prefixItems":
+            children = zip(range(size), value)
+        elif key == "items":
+            children = ((i, value) for i in range(len(schema.get("prefixItems", ())), size))
+        else:
+            raise KeyError(f"schema keyword {key!r} is not checked")
+        if message:
+            yield path, message
+        for child, sub in children:
+            yield from _violations(obj[child], sub, (*path, child))
 
 
 def validate_scenario(obj) -> str:
-    """The scenario's kind; SchemaError, with jsonschema's message, when it does not match.
-
-    A scenario that ``_plainly_valid`` proves valid never reaches
-    jsonschema.  Any other goes through it, which gives the verdict and
-    picks the error to report as ``jsonschema.validate`` does.
-    """
+    """The scenario's kind; SchemaError, with the message jsonschema would pick, when it does not match."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError("scenario must be an object with a 'kind' field")
     kind = obj["kind"]
     schema = SCENARIO_SCHEMAS.get(kind) if isinstance(kind, str) else None
     if schema is None:
         raise SchemaError(f"unknown scenario kind {kind!r}")
-    if _plainly_valid(obj, schema):
-        return kind
-    import jsonschema
-
     try:
-        error = jsonschema.exceptions.best_match(_validator(kind).iter_errors(obj))
-    except RecursionError:  # a value nested almost as deep as json.load reads
+        found = list(_violations(obj, schema))
+    except RecursionError:  # the repr of a value nested almost as deep as json.load reads
         raise SchemaError(f"scenario is nested too deeply to check against the {kind!r} schema") from None
-    if error is not None:
-        raise SchemaError(f"scenario does not match the {kind!r} schema: {error.message}")
+    if found:
+        # as jsonschema's best_match: the shallowest path, then the greatest, then the first found; its
+        # preference for a value off its schema's type never decides here, as each path meets one schema
+        message = max(found, key=lambda v: (-len(v[0]), v[0]))[1]
+        raise SchemaError(f"scenario does not match the {kind!r} schema: {message}")
     return kind
 
 

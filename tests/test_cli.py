@@ -349,6 +349,29 @@ def test_invalid_scalar_input_is_report_not_crash(tmp_path, case):
         assert report["scenario"] is None
 
 
+# JSON's 2.0 is a number but no integer: (scenario, the integral float in it)
+INTEGRAL_FLOATS = {
+    "trunc-Dp": ({**_formal(1, H1, []), "trunc": {"n": 1, "Dp": 3.0, "Dt": 2, "Nq": 2}}, 3.0),
+    "selftest-seed": ({"kind": "selftest", "seed": 1.0}, 1.0),
+    "measure-seed": ({**MEASURE, "C_values": [0.1], "nu": "1", "seed": 1.0}, 1.0),
+    "resonances-N": ({**_resonances({"mode": "rational"}, ["1", "2"]), "N": 2.0}, 2.0),
+    "term-I": (_formal(1, [[[2.0], [1], 0, "1"]], []), 2.0),
+    "term-J": (_formal(1, [[[0], [2.0], 0, "1"]], []), 2.0),
+    "term-k": (_formal(1, [[[0], [1], 2.0, "1"]], []), 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGRAL_FLOATS))
+def test_integral_float_for_an_integer_is_a_schema_error(tmp_path, case):
+    scen, value = INTEGRAL_FLOATS[case]
+    out = tmp_path / "r.json"
+    assert main(["run", write(tmp_path, "s.json", scen), "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["error"] == {
+        "type": "SchemaError",
+        "message": f"scenario does not match the {scen['kind']!r} schema: {value!r} is not of type 'integer'",
+    }
+
+
 def _run_in_a_fresh_process(tmp_path, scenario):
     """(exit code, stderr, report) of ``python -m kamforge.cli run`` on ``scenario``."""
     scen = write(tmp_path, "s.json", scenario)
@@ -656,13 +679,12 @@ def test_exact_kinds_never_load_numpy(tmp_path):
                 kinds.add(kind)
     assert kinds == set(cli.SCENARIO_SCHEMAS) - FLOAT_KINDS
     statuses = [2 if path.endswith("schema-error.scenario.json") else 0 for path in scenarios]
-    # only the schema-error golden loads jsonschema
     probe = _probe_loaded(*scenarios, str(tmp_path / "r.json"))
-    assert probe == {"statuses": statuses, "loaded": ["jsonschema"], "missing": True, "same": True}
+    assert probe == {"statuses": statuses, "loaded": [], "missing": True, "same": True}
 
 
 def test_schema_valid_runs_never_load_jsonschema(tmp_path):
-    # every schema-valid golden, of every kind, passes the plain check, so jsonschema stays unloaded
+    # kamforge checks scenarios itself: no run loads jsonschema, a schema error included
     names = sorted(name for name in os.listdir(GOLDEN) if name.endswith(".scenario.json"))
     valid = [os.path.join(GOLDEN, name) for name in names if name != "schema-error.scenario.json"]
     lie_kinds = [
@@ -673,9 +695,9 @@ def test_schema_valid_runs_never_load_jsonschema(tmp_path):
     assert 2 not in probe["statuses"]  # hadamard-resonant ends in a structured error, exit 1
     assert "jsonschema" not in probe["loaded"]
     assert _probe_loaded(str(tmp_path / "r.json"))["loaded"] == []  # import kamforge.cli alone
-    # a schema error loads it, for its verdict and message, and its report is the golden one
+    # a schema error loads nothing either, and its report is the golden one
     probe = _probe_loaded(os.path.join(GOLDEN, "schema-error.scenario.json"), str(tmp_path / "r.json"))
-    assert (probe["statuses"], probe["loaded"]) == ([2], ["jsonschema"])
+    assert (probe["statuses"], probe["loaded"]) == ([2], [])
     with open(os.path.join(GOLDEN, "schema-error.report.json"), "rb") as fh:
         assert (tmp_path / "r.json").read_bytes() == fh.read()
 

@@ -1,10 +1,12 @@
-"""The plain schema check is sound, and every shipped scenario passes it.
+"""The scenario check agrees with jsonschema, and every shipped scenario passes it.
 
-``cli._plainly_valid`` lets a scenario skip jsonschema only when it proves
-the scenario valid; in any doubt jsonschema decides.  So it must never
-pass a scenario jsonschema would refuse (the hypothesis test below), it
-must know every keyword the schemas use, and every golden and benchmark
-scenario must pass it, or those runs would load jsonschema again.
+``cli._violations`` gives each scenario's verdict and error message.  Its
+reference is jsonschema's Draft 2020-12 validator with a strict
+``integer`` (``type(x) is int``, so 1.0 is no integer): on mutated
+scenarios the two must agree on the verdict and on the message (the
+hypothesis test below).  The check must know every keyword the schemas
+use and raise on any other, and every golden and benchmark scenario must
+pass it.
 """
 
 import copy
@@ -41,29 +43,60 @@ BYTE_IDENTITY = {case["name"]: case["scenario"] for case in json.loads((TESTS / 
 BENCHMARK = _benchmark_scenarios()
 VALID = {**GOLDEN_VALID, **{f"byte-identity/{k}": v for k, v in BYTE_IDENTITY.items()}, **BENCHMARK}
 
-
-def _keywords(schema):
-    """Every keyword in ``schema`` and in the schemas nested in it."""
-    for key, value in schema.items():
-        yield key
-        if key == "properties":
-            for sub in value.values():
-                yield from _keywords(sub)
-        elif key == "items":
-            yield from _keywords(value)
-        elif key == "prefixItems":
-            for sub in value:
-                yield from _keywords(sub)
+# the reference: jsonschema with JSON's integer, which 1.0 is not
+STRICT = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine("integer", lambda checker, x: type(x) is int),
+)
 
 
-def _errors(obj, kind):
-    schema = cli.SCENARIO_SCHEMAS[kind]
-    return list(jsonschema.validators.validator_for(schema)(schema).iter_errors(obj))
+def _reference(obj, kind):
+    """jsonschema's message for ``obj``, the one ``jsonschema.validate`` raises, or None if it is valid."""
+    error = jsonschema.exceptions.best_match(STRICT(cli.SCENARIO_SCHEMAS[kind]).iter_errors(obj))
+    return None if error is None else error.message
 
 
-def test_plain_check_knows_every_schema_keyword():
-    used = {key for schema in cli.SCENARIO_SCHEMAS.values() for key in _keywords(schema)}
-    assert used <= set(cli._PLAIN_CHECKS), used - set(cli._PLAIN_CHECKS)
+def _message(obj):
+    """The scenario check's message for ``obj``, or None if it is valid."""
+    try:
+        cli.validate_scenario(obj)
+    except SchemaError as exc:
+        prefix = f"scenario does not match the {obj['kind']!r} schema: "
+        assert str(exc).startswith(prefix), exc
+        return str(exc)[len(prefix) :]
+    return None
+
+
+def _subschemas(schema):
+    """``schema`` and every schema nested in it."""
+    yield schema
+    nested = [*schema.get("properties", {}).values(), *schema.get("prefixItems", ())]
+    for sub in nested + ([schema["items"]] if "items" in schema else []):
+        yield from _subschemas(sub)
+
+
+SUBSCHEMAS = [sub for schema in cli.SCENARIO_SCHEMAS.values() for sub in _subschemas(schema)]
+
+
+def test_walker_knows_every_schema_keyword():
+    # the walker reads every keyword of a schema, whatever the value, and raises on one it does not know
+    for sub in SUBSCHEMAS:
+        list(cli._violations(None, sub))
+    # const and enum compare with ==, which is jsonschema's equality for strings, not for bools
+    assert all(type(v) is str for sub in SUBSCHEMAS for v in [sub.get("const", ""), *sub.get("enum", ())])
+
+
+def test_unknown_keyword_raises():
+    # never a pass: each of these schemas refuses some value
+    schemas = [
+        {"type": "integer", "maximum": 5},
+        {"type": "array", "uniqueItems": True},
+        {"type": "boolean"},
+        {"type": "object", "additionalProperties": {"type": "integer"}},
+    ]
+    for schema in schemas:
+        with pytest.raises(KeyError):
+            list(cli._violations(None, schema))
 
 
 def test_every_kind_has_a_shipped_valid_scenario():
@@ -73,11 +106,15 @@ def test_every_kind_has_a_shipped_valid_scenario():
 @pytest.mark.parametrize("name", sorted(VALID))
 def test_shipped_scenario_passes_the_plain_check(name):
     scen = VALID[name]
-    assert cli._plainly_valid(scen, cli.SCENARIO_SCHEMAS[scen["kind"]])
+    assert list(cli._violations(scen, cli.SCENARIO_SCHEMAS[scen["kind"]])) == []
 
 
 def _nf():
     return copy.deepcopy(GOLDEN_VALID["sqrt2-formal.scenario.json"])
+
+
+def _measure():
+    return copy.deepcopy(BENCHMARK["small-denominators/measure0"])
 
 
 def _with(scen, edit):
@@ -85,35 +122,40 @@ def _with(scen, edit):
     return scen
 
 
-# (scenario, what the plain check says, whether jsonschema finds it valid)
+# (scenario, the message it is refused with, or None where it is accepted)
 NAMED = {
-    "bool-for-integer": (_with(_nf(), lambda s: s["trunc"].update(n=True)), False, False),
-    "integral-float-for-integer": (_with(_nf(), lambda s: s["trunc"].update(Dp=1.0)), False, True),
-    "string-for-number": (_with(copy.deepcopy(BENCHMARK["small-denominators/measure0"]), lambda s: s.update(R="1")), False, False),
-    "bool-for-number": (_with(copy.deepcopy(BENCHMARK["small-denominators/measure0"]), lambda s: s.update(R=True)), False, False),
-    "extra-key": (_with(_nf(), lambda s: s.update(extra=1)), False, False),
-    "extra-key-in-trunc": (_with(_nf(), lambda s: s["trunc"].update(extra=1)), False, False),
-    "missing-key": (_with(_nf(), lambda s: s.pop("Q")), False, False),
-    "term-of-3": (_with(_nf(), lambda s: s["H"][0].pop()), False, False),
-    "term-of-5": (_with(_nf(), lambda s: s["H"][0].append("1")), False, False),
-    "nested-array-literal": (_with(_nf(), lambda s: s["Q"][0].__setitem__(3, [[1, [2]], "3"])), True, True),
-    "negative-seed": ({"kind": "selftest", "seed": -1}, False, False),
-    "dp-minus-one": (_with(_nf(), lambda s: s["trunc"].update(Dp=-1)), False, False),
-    "unknown-mode": (_with(_nf(), lambda s: s["context"].update(mode="float64")), False, False),
+    "bool-for-integer": (_with(_nf(), lambda s: s["trunc"].update(n=True)), "True is not of type 'integer'"),
+    "integral-float-for-integer": (_with(_nf(), lambda s: s["trunc"].update(Dp=1.0)), "1.0 is not of type 'integer'"),
+    "string-for-number": (_with(_measure(), lambda s: s.update(R="1")), "'1' is not of type 'number'"),
+    "bool-for-number": (_with(_measure(), lambda s: s.update(R=True)), "True is not of type 'number'"),
+    "extra-key": (
+        _with(_nf(), lambda s: s.update(extra=1)),
+        "Additional properties are not allowed ('extra' was unexpected)",
+    ),
+    "extra-key-in-trunc": (
+        _with(_nf(), lambda s: s["trunc"].update(extra=1)),
+        "Additional properties are not allowed ('extra' was unexpected)",
+    ),
+    "missing-key": (_with(_nf(), lambda s: s.pop("Q")), "'Q' is a required property"),
+    "term-of-3": (_with(_nf(), lambda s: s["H"][0].pop()), "[[0, 0], [1, 0], 0] is too short"),
+    "term-of-5": (
+        _with(_nf(), lambda s: s["H"][0].append("1")),
+        "[[0, 0], [1, 0], 0, ['1', '0', 2], '1'] is too long",
+    ),
+    "nested-array-literal": (_with(_nf(), lambda s: s["Q"][0].__setitem__(3, [[1, [2]], "3"])), None),
+    "negative-seed": ({"kind": "selftest", "seed": -1}, "-1 is less than the minimum of 0"),
+    "dp-minus-one": (_with(_nf(), lambda s: s["trunc"].update(Dp=-1)), "-1 is less than the minimum of 0"),
+    "unknown-mode": (
+        _with(_nf(), lambda s: s["context"].update(mode="float64")),
+        "'float64' is not one of ['rational', 'quadratic']",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NAMED))
 def test_named_mutation(name):
-    # a doubtful scenario, such as 1.0 for an integer, is judged by jsonschema
-    scen, plain, valid = NAMED[name]
-    assert cli._plainly_valid(scen, cli.SCENARIO_SCHEMAS[scen["kind"]]) is plain
-    assert (not _errors(scen, scen["kind"])) is valid
-    if valid:
-        assert cli.validate_scenario(scen) == scen["kind"]
-    else:
-        with pytest.raises(SchemaError):
-            cli.validate_scenario(scen)
+    scen, message = NAMED[name]
+    assert _message(scen) == _reference(scen, scen["kind"]) == message
 
 
 REPLACEMENTS = [True, False, None, 1.0, 2.0, -1.0, 0.5, -1, 0, 1, 2, "1", "1/2", "x", [], {}, [[1]], [1, [2]], [[[0]], "1"]]
@@ -166,15 +208,14 @@ def mutated(draw):
 
 @settings(max_examples=1000, deadline=None, database=None, derandomize=True)
 @given(mutated())
-def test_plain_check_is_sound(case):
+def test_walker_agrees_with_jsonschema(case):
     scen, kind = case
-    plain = cli._plainly_valid(scen, cli.SCENARIO_SCHEMAS[kind])
-    event(f"plain check: {plain}")
-    if plain:
-        assert _errors(scen, kind) == []
-
-
-def test_unknown_keyword_is_doubtful():
-    assert not cli._plainly_valid(1, {"type": "integer", "maximum": 5})
-    assert not cli._plainly_valid([1], {"type": "array", "uniqueItems": True})
-    assert cli._plainly_valid(1, {"type": "integer", "minimum": 0})
+    message = _reference(scen, kind)
+    assert (list(cli._violations(scen, cli.SCENARIO_SCHEMAS[kind])) == []) is (message is None)
+    if isinstance(scen, dict) and scen.get("kind") == kind:
+        event("valid" if message is None else "refused")
+        assert _message(scen) == message
+    else:  # a scenario whose "kind" is gone or changed is refused before any schema is read
+        event("kind changed")
+        with pytest.raises(SchemaError):
+            cli.validate_scenario(scen)
