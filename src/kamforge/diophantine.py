@@ -445,8 +445,9 @@ class MeasureEstimate:
         return asdict(self)
 
 
-# lattice cells (sample x row) per batch of the float statistic
-_BATCH_CELLS = 2**16
+# lattice cells (sample x row) per batch of the float statistic: 2^14 cells
+# make each float64 buffer 128 KiB, so a batch's passes stay in cache
+_BATCH_CELLS = 2**14
 
 
 def _row_statistic(pts: np.ndarray, s: float, N: int) -> np.ndarray:
@@ -467,6 +468,24 @@ def _row_statistic(pts: np.ndarray, s: float, N: int) -> np.ndarray:
     largest, |r| <= (n - 1) * N.  For s >= 0 the row K = 0 alone scores no
     more than any pair at distance >= 1, so widening serves s < 0.  The
     zero sample scores 0.
+
+    Each numpy pass streams through a whole batch, so the kernel is bound
+    by memory traffic, and fresh temporaries of every pass cost allocation
+    and cache misses: it runs in batches of about ``_BATCH_CELLS``
+    sample-row cells, and every pass writes into five buffers made once per
+    call, which then stay in cache.  Every cell goes through the same IEEE
+    operations, in the same order, as the plain expressions |wc * x + d| *
+    sqrt(x * x + K2)**s, so the bits do not depend on the batch size.
+
+    Before each widening step one value per sample, the bound of its
+    lowest row, t * (|omega_c| * min_K w_min(K)), is tested first, and the
+    (sample x row) mask is built only if some sample passes.  Rounding is
+    monotone, so that value is no more than the rounded t * (|omega_c| *
+    w_min(K)) of any row, and a cell whose bound the best score exceeds
+    belongs to a sample that passes: the test drops only steps that would
+    widen nothing.  For s >= 0, best <= |omega_c| <= |omega_c| * min_K
+    w_min(K), so it ends the loop at t = 1 unless the best is within the
+    slack of that bound.
     """
     import numpy as np
 
@@ -478,30 +497,58 @@ def _row_statistic(pts: np.ndarray, s: float, N: int) -> np.ndarray:
     row0 = min(1.0, np.float64(N) ** (1 + s))
     batch = max(1, _BATCH_CELLS // max(1, len(K)))
 
-    def score(x, wc, d):
-        x = np.clip(x, -N, N)
-        return np.abs(wc * x + d) * np.sqrt(x * x + K2) ** s
+    def score(src, wc, d, x, out):
+        """|wc * x + d| * sqrt(x * x + K2)**s with x = src clipped to [-N, N], into out (src may be out)."""
+        np.clip(src, -N, N, out=x)
+        np.multiply(x, x, out=out)
+        out += K2
+        np.sqrt(out, out=out)
+        out **= s
+        x *= wc
+        x += d
+        np.abs(x, out=x)
+        out *= x
+        return out
 
     c_of = np.abs(pts).argmax(axis=1)
     stat = np.zeros(len(pts))
+    if len(K):
+        lowest = wmin.min()
+        d_, r_, x_, a_, b_ = np.empty((5, min(batch, len(pts)), len(K)))
     for c in range(n):
         idx = np.flatnonzero((c_of == c) & (pts[:, c] != 0))
         for lo in range(0, len(idx), batch):
             at = idx[lo : lo + batch]
             wc = pts[at, c, None]
-            best = np.abs(wc[:, 0]) * row0
+            awc = np.abs(wc)
+            best = awc[:, 0] * row0
             if len(K):
+                m = len(at)
+                d, r, x, a, b = d_[:m], r_[:m], x_[:m], a_[:m], b_[:m]
                 rest = np.delete(pts[at], c, axis=1)
-                d = sum(rest[:, [k]] * K[:, k] for k in range(n - 1))
-                r = np.floor(-d / wc)
-                best = np.minimum(best, np.minimum(score(r, wc, d), score(r + 1, wc, d)).min(axis=1))
-                bound = np.abs(wc) * wmin
+                np.multiply(rest[:, [0]], K[:, 0], out=d)  # a -0.0 here leaves no trace in the scores
+                for k in range(1, n - 1):
+                    d += rest[:, [k]] * K[:, k]
+                np.divide(d, -wc, out=r)  # (-d) / wc, to the bit
+                np.floor(r, out=r)
+                score(r, wc, d, x, a)
+                np.add(r, 1, out=b)
+                np.minimum(a, score(b, wc, d, x, b), out=a)
+                best = np.minimum(best, a.min(axis=1))
+                low = awc[:, 0] * lowest  # per sample, the bound of its lowest row at t = 1
                 for t in count(1):
-                    far = (best[:, None] * (1 + 1e-9) > t * bound) & ((r - t >= -N) | (r + 1 + t <= N))
+                    if not (best * (1 + 1e-9) > t * low).any():
+                        break
+                    far = (best[:, None] * (1 + 1e-9) > t * (awc * wmin)) & ((r - t >= -N) | (r + 1 + t <= N))
                     if not far.any():
                         break
-                    near = np.minimum(score(r - t, wc, d), score(r + 1 + t, wc, d))
-                    best = np.minimum(best, np.where(far, near, np.inf).min(axis=1))
+                    np.subtract(r, t, out=a)
+                    score(a, wc, d, x, a)
+                    np.add(r, 1, out=b)
+                    b += t
+                    np.minimum(a, score(b, wc, d, x, b), out=a)
+                    a[~far] = np.inf
+                    best = np.minimum(best, a.min(axis=1))
             stat[at] = best
     return stat
 
@@ -522,8 +569,12 @@ def measure_estimate(
     with s = n - 1 + nu, and is bad for C when m(omega) < C.  The samples
     are drawn once, by seeded rejection from the bounding cube on the one
     stream ``np.random.default_rng(seed)``, so every C sees the same samples.
-    ``_row_statistic`` scores a few candidates per lattice row, in batches
-    of ``_BATCH_CELLS`` sample-row cells, not the whole ball.
+    ``_row_statistic`` scores a few candidates per lattice row, not the
+    whole ball, in cache-sized batches of ``_BATCH_CELLS`` sample-row cells
+    whose passes write into buffers made once, with the same bits as fresh
+    temporaries; a widening step is skipped when a one-value-per-sample
+    bound, no more than the bound of any row by monotone rounding, shows
+    that it would widen no row.
 
     In floats, (omega, I) is off by at most about n^1.5 * 2^-53 * R * N, an
     error that |I|^s multiplies, and the power and the product add about

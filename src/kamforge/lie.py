@@ -93,9 +93,12 @@ def transversal_from_commutant(A: np.ndarray, seed: int = 0) -> SubspaceBasis:
     """Transpose of the commutant: the orthogonal space of the adjoint orbit.
 
     Verifies <[A, X], B^T> = 0 (trace inner product) for ``ORBIT_CHECKS``
-    random X per B before returning; failure raises OrthogonalityCheckFailed.
-    An A whose norm overflows would make that check vacuous, so it raises
-    InvalidInput first.
+    random X per B before returning; failure raises OrthogonalityCheckFailed
+    naming the first failing residual.  The X of one B are drawn as one
+    (ORBIT_CHECKS, n, n) block, which takes the same values from the
+    generator's stream as ORBIT_CHECKS draws of one matrix each, and their
+    residuals come from one batched product.  An A whose norm overflows
+    would make that check vacuous, so it raises InvalidInput first.
     """
     A = np.asarray(A, dtype=float)
     with np.errstate(over="ignore"):
@@ -106,13 +109,11 @@ def transversal_from_commutant(A: np.ndarray, seed: int = 0) -> SubspaceBasis:
     rng = np.random.default_rng(seed)
     scale = max(1.0, norm)
     for B in base.mats:
-        for _ in range(ORBIT_CHECKS):
-            X = rng.standard_normal(A.shape)
-            resid = abs(np.trace((A @ X - X @ A) @ B))  # <[A,X], B^T> = Tr([A,X] B)
-            if resid > 1e-10 * scale * np.linalg.norm(X) * np.linalg.norm(B):
-                raise OrthogonalityCheckFailed(
-                    f"orbit-orthogonality residual {resid:.3e}"
-                )
+        X = rng.standard_normal((ORBIT_CHECKS, *A.shape))
+        resid = abs(np.trace((A @ X - X @ A) @ B, axis1=1, axis2=2))  # <[A,X], B^T> = Tr([A,X] B)
+        failed = np.flatnonzero(resid > 1e-10 * scale * np.linalg.norm(X, axis=(1, 2)) * np.linalg.norm(B))
+        if len(failed):
+            raise OrthogonalityCheckFailed(f"orbit-orthogonality residual {resid[failed[0]]:.3e}")
     return SubspaceBasis(mats=tuple(B.T.copy() for B in base.mats))
 
 

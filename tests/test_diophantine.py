@@ -1,6 +1,6 @@
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import islice, product
+from itertools import count, islice, product
 from math import factorial, floor, gcd
 
 import numpy as np
@@ -563,6 +563,87 @@ def test_row_statistic_widens_rows_for_negative_s():
     dense = _dense_statistic(omega, s, N)
     assert dense[0] == pytest.approx(values[-2], rel=1e-12)
     np.testing.assert_allclose(_row_statistic(omega, s, N), dense, rtol=1e-12)
+
+
+def _reference_row_statistic(pts, s, N):
+    """The row statistic as plain numpy expressions, in batches of 2^16 cells, every temporary fresh."""
+    n = pts.shape[1]
+    rows = list(half_ball(n - 1, N))
+    K = np.array(rows, dtype=float).reshape(len(rows), n - 1)
+    K2 = (K * K).sum(axis=1)
+    wmin = np.sqrt(K2 + (N * N if s < 0 else 0)) ** s
+    row0 = min(1.0, np.float64(N) ** (1 + s))
+    batch = max(1, 2**16 // max(1, len(K)))
+
+    def score(x, wc, d):
+        x = np.clip(x, -N, N)
+        return np.abs(wc * x + d) * np.sqrt(x * x + K2) ** s
+
+    c_of = np.abs(pts).argmax(axis=1)
+    stat = np.zeros(len(pts))
+    for c in range(n):
+        idx = np.flatnonzero((c_of == c) & (pts[:, c] != 0))
+        for lo in range(0, len(idx), batch):
+            at = idx[lo : lo + batch]
+            wc = pts[at, c, None]
+            best = np.abs(wc[:, 0]) * row0
+            if len(K):
+                rest = np.delete(pts[at], c, axis=1)
+                d = sum(rest[:, [k]] * K[:, k] for k in range(n - 1))
+                r = np.floor(-d / wc)
+                best = np.minimum(best, np.minimum(score(r, wc, d), score(r + 1, wc, d)).min(axis=1))
+                bound = np.abs(wc) * wmin
+                for t in count(1):
+                    far = (best[:, None] * (1 + 1e-9) > t * bound) & ((r - t >= -N) | (r + 1 + t <= N))
+                    if not far.any():
+                        break
+                    near = np.minimum(score(r - t, wc, d), score(r + 1 + t, wc, d))
+                    best = np.minimum(best, np.where(far, near, np.inf).min(axis=1))
+            stat[at] = best
+    return stat
+
+
+def _oracle_samples(n, N, random=40):
+    """Random and dyadic samples, the zero sample, axis-aligned ones and ties |omega_1| = |omega_2|."""
+    rng = np.random.default_rng(100 * n + N)
+    pts = [
+        rng.uniform(-1.0, 1.0, size=(random, n)),
+        rng.integers(-8, 9, size=(12, n)) / 8.0,  # roots on integers, zero coordinates
+        np.zeros((1, n)),
+        0.7 * np.eye(n),
+        -0.3 * np.eye(n),
+    ]
+    if n > 1:
+        tie = np.full(n, 0.2)
+        tie[:2] = 0.6
+        flip = tie.copy()
+        flip[1] *= -1
+        pts += [tie[None], flip[None]]
+    return np.vstack(pts)
+
+
+def _bits(x):
+    return x.view(np.int64)
+
+
+# s = +-400 make w_min and the scores overflow or underflow
+@pytest.mark.parametrize("s", [-400.0, -5.0, -1.5, -0.5, 0.0, 0.5, 2.0, 4.0, 400.0])
+@pytest.mark.parametrize("N", [1, 3, 20, 50])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_row_statistic_bits_match_reference(n, N, s):
+    pts = _oracle_samples(n, N, random=8 if n == 3 and N == 50 else 40)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = _row_statistic(pts, s, N), _reference_row_statistic(pts, s, N)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("n, N, s", [(1, 3, 0.5), (2, 20, -1.5), (2, 50, 2.0), (3, 3, -5.0), (3, 3, 2.0)])
+def test_row_statistic_bits_do_not_depend_on_batch_size(monkeypatch, n, N, s):
+    pts = _oracle_samples(n, N)
+    want = _row_statistic(pts, s, N)
+    for cells in (1, 7, 2**10, 2**20):
+        monkeypatch.setattr(diophantine, "_BATCH_CELLS", cells)
+        assert np.array_equal(_bits(_row_statistic(pts, s, N)), _bits(want))
 
 
 @pytest.mark.parametrize(

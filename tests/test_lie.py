@@ -9,7 +9,9 @@ from kamforge.errors import (
     OrthogonalityCheckFailed,
     RankDeficient,
 )
+from kamforge import lie
 from kamforge.lie import (
+    ORBIT_CHECKS,
     IterationTrace,
     SubspaceBasis,
     adjoint_action,
@@ -62,6 +64,26 @@ def test_transversal_examples(rng=None):
     # generic matrix with distinct eigenvalues: transversal dimension n
     A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [6.0, -11.0, 6.0]])  # eigs 1,2,3
     assert transversal_from_commutant(A).dim == 3
+
+
+def test_orbit_checks_draw_one_block_from_the_stream():
+    # one (k, n, n) draw takes the values of k successive (n, n) draws
+    k, n = ORBIT_CHECKS, 3
+    one_by_one = np.random.default_rng(11)
+    block = np.random.default_rng(11).standard_normal((k, n, n))
+    assert np.array_equal(block, np.stack([one_by_one.standard_normal((n, n)) for _ in range(k)]))
+
+
+def test_orbit_check_names_first_failing_residual(monkeypatch):
+    # the second basis matrix does not commute with A = diag(1, 2):
+    # Tr([A, X] NIL) = X[1, 0] exactly, so its first X fails
+    A = np.diag([1.0, 2.0])
+    monkeypatch.setattr(lie, "commutant_basis", lambda a: SubspaceBasis(mats=(np.eye(2) / np.sqrt(2.0), NIL)))
+    rng = np.random.default_rng(3)
+    X = [rng.standard_normal((2, 2)) for _ in range(ORBIT_CHECKS + 1)][ORBIT_CHECKS]
+    with pytest.raises(OrthogonalityCheckFailed) as err:
+        transversal_from_commutant(A, seed=3)
+    assert str(err.value) == f"orbit-orthogonality residual {abs(X[1, 0]):.3e}"
 
 
 def test_orthogonality_identity():
