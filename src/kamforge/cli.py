@@ -720,11 +720,11 @@ def _execute(raw, out: str | None, timings: bool, echo: bool = True) -> int:
     except SchemaError as exc:
         return _schema_error(raw if echo else None, exc, out)
     report = {"scenario": raw, "version": __version__}
-    series.reset_drop_count()
+    drops0 = series.drop_count()
     t0 = time.perf_counter()
     try:
         results, diag = _HANDLERS[kind](raw)
-        diag.setdefault("dropped_terms", series.drop_count())
+        diag.setdefault("dropped_terms", series.drop_count() - drops0)
         if timings:
             diag["elapsed_seconds"] = time.perf_counter() - t0
         text = _dumps({**report, "results": results, "diagnostics": diag})

@@ -17,6 +17,7 @@ from functools import cache
 from itertools import count, product
 from math import factorial, lcm
 from operator import mul
+from sys import float_info
 
 from .errors import ContextMismatch, InsufficientSupport, InvalidInput, ResonantDenominator
 from .scalar import (
@@ -591,6 +592,8 @@ def measure_estimate(
         raise ValueError("need at least one sample")
     if R < 0:
         raise InvalidInput("ball radius R must be >= 0")
+    if not n * R * R <= float_info.max:  # the ball test sums n squares; R may be an int
+        raise InvalidInput("ball radius R is too large: n*R^2 is not a finite float")
     nu = Fraction(nu)
     s = n - 1 + nu
     rng = np.random.default_rng(seed)

@@ -117,13 +117,15 @@ def homological_solve(H: IntegrableHamiltonian, R: PoissonSeries, p_cap: int):
     |K| + m - 1 > Dp; that is the drop count of ``poisson_bracket(H.series,
     S)``.  Resonance: the first term of the lowest p-degree <= p_cap, in
     R's order, whose mode has (omega, I) = 0 raises ResonantDenominator; a
-    mode lying wholly above p_cap is left in the residual.  Order: within
-    a degree X keeps its terms in the order they first appear, as a
-    running sum of series would: R's terms, then those L+ creates, in the
-    order of the loops over H's p-degree groups, S's t-degrees, H's terms,
-    S's terms and j.  S takes that order degree by degree.  The flows
-    built on S inherit it, and later t-orders name their resonances by
-    it.
+    mode lying wholly above p_cap is left in the residual.  Order, for an
+    R of one t-degree (``_iterate`` passes k = m, ``normal_space_class`` a
+    t-free f): within a degree X keeps its terms in the order they first
+    appear, as a running sum of series would: R's terms, then those L+
+    creates, in the order of the loops over H's p-degree groups, H's
+    terms, S's terms and j.  S takes that order degree by degree.  The
+    flows built on S inherit it, and later t-orders name their resonances
+    by it.  A mixed-t R gets the same S and residual, in an order that is
+    not pinned.
 
     Integers: H = sum (u_K + v_K sqrt(d)) p^K / E, so (omega, I) =
     (A + B sqrt(d)) / E with A = sum_j I_j u_{e_j}, B likewise, and
@@ -141,7 +143,7 @@ def homological_solve(H: IntegrableHamiltonian, R: PoissonSeries, p_cap: int):
     coords = range(n)
     u1, v1 = [0] * n, [0] * n  # omega_j = (u1[j] + v1[j] sqrt(d)) / E
     plus = []  # per p-degree group of H above 1: (|K| - 1, terms, per j the terms with K_j != 0)
-    for (_, p), group in H.series._grades().items():
+    for (_, p), group in H.series._grades()[0].items():
         if p == 1:
             for _, _, K, u, v in group:
                 j = K.index(1)
@@ -156,9 +158,9 @@ def homological_solve(H: IntegrableHamiltonian, R: PoissonSeries, p_cap: int):
         (levels[p] if any(I) else averaged)[P] = pair
     divisors, den, S, drops = {}, {}, [], 0
     for m in range(min(p_cap, Dp) + 1):
-        corr = {}  # per t-degree k: (P, I, x, y) with S_{I,m} = E (x + y sqrt(d)) / (D_I N)
+        corr = []  # (P, I, x, y) with S_{I,m} = E (x + y sqrt(d)) / (D_I N)
         for P, (x, y) in levels[m].items():
-            I, _, k, _, _ = keys[P]
+            I = keys[P][0]
             div = divisors.get(I)
             if div is None:
                 A, B = sum(map(mul, I, u1)), sum(map(mul, I, v1))
@@ -168,23 +170,22 @@ def homological_solve(H: IntegrableHamiltonian, R: PoissonSeries, p_cap: int):
                 div = divisors[I] = (c, c2, N) if N > 0 else (-c, -c2, -N)
             c, c2, N = div
             x, y = x * c + d * y * c2, x * c2 + y * c
-            corr.setdefault(k, []).append((P, I, x, y))
+            corr.append((P, I, x, y))
             S.append((P, E * x, E * y, den.get(I, D0) * N))
         added = {}
         for shift, terms, nzK in plus:
             if m + shift > Dp:  # every term of this group lands past Dp
-                nzI = [sum(1 for g in corr.values() for _, I, _, _ in g if I[j]) for j in coords]
+                nzI = [sum(1 for _, I, _, _ in corr if I[j]) for j in coords]
                 drops += sum(map(mul, nzK, nzI))
                 continue
-            for group in corr.values():
-                for PK, K, u, v in terms:
-                    for P, I, x, y in group:
-                        for j in coords:
-                            w = K[j] * I[j]
-                            if w:
-                                T = P + PK - eJ[j]
-                                a, b = added.get(T, (0, 0))
-                                added[T] = (a + w * (u * x + d * v * y), b + w * (u * y + v * x))
+            for PK, K, u, v in terms:
+                for P, I, x, y in corr:
+                    for j in coords:
+                        w = K[j] * I[j]
+                        if w:
+                            T = P + PK - eJ[j]
+                            a, b = added.get(T, (0, 0))
+                            added[T] = (a + w * (u * x + d * v * y), b + w * (u * y + v * x))
         arrived = {keys[T][0] for T in added}
         for level in levels[m + 1:]:  # pending terms of a mode move to D_I N
             for P, (x, y) in level.items():

@@ -25,9 +25,10 @@ hold their values; w leaves one spare top bit in every I field.  The key
 of a product term is then P1 + P2 - base, and of a bracket term the same
 less the unit of J_j (and, in symplectic mode, of I_j).  The q-window
 test reads every I field at once from the spare bits after adding two
-constants.  A series decodes its keys at most once: its terms grouped by
-(t-degree, p-degree) are built on first use and kept with it, as is the
-census the bracket's drop count needs.
+constants.  Keys are decoded once per window, by the memo ``_Keys``.  A
+series builds its view on first use, in one walk over its terms, and
+keeps it: the terms grouped by (t-degree, p-degree) and the census the
+bracket's drop count needs.
 
 The bracket and the product work group by group.  A pair of groups whose
 results all fall past Dt or Dp is skipped without visiting its term
@@ -66,23 +67,17 @@ __all__ = [
     "flow_apply",
     "compose_flows",
     "drop_count",
-    "reset_drop_count",
 ]
 
 _MODES = ("torus", "symplectic")
 
-# Terms falling outside the truncation window are dropped, not errors;
-# the counter makes the loss observable (surfaced by the CLI reports).
+# Terms falling outside the truncation window are dropped, not errors; the
+# counter makes the loss observable and only counts up: callers take differences.
 _dropped = 0
 
 
 def drop_count() -> int:
     return _dropped
-
-
-def reset_drop_count() -> None:
-    global _dropped
-    _dropped = 0
 
 
 def _note_drop(n: int = 1) -> None:
@@ -185,7 +180,7 @@ class PoissonSeries:
     combine only if context, truncation and bracket mode all agree.
     """
 
-    __slots__ = ("context", "trunc", "mode", "_den", "_num", "_graded", "_census")
+    __slots__ = ("context", "trunc", "mode", "_den", "_num", "_graded")
 
     def __init__(self, context: ScalarContext, trunc: TruncationSpec, mode: str, terms=None):
         if mode not in _MODES:
@@ -223,7 +218,6 @@ class PoissonSeries:
         set_(self, "_den", D)
         set_(self, "_num", num)
         set_(self, "_graded", None)
-        set_(self, "_census", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PoissonSeries is immutable")
@@ -249,20 +243,26 @@ class PoissonSeries:
         L = lcm(*{D for _, _, _, D in parts})
         return self._reduced(L, {P: (a * (L // D), b * (L // D)) for P, a, b, D in parts})
 
-    def _grades(self) -> dict:
-        """The terms as (P, I, J, a, b) lists keyed by (t-degree, p-degree),
-        built on first use."""
+    def _grades(self) -> tuple:
+        """(groups, census), built in one walk on first use and kept: ``groups``
+        maps (t-degree, p-degree) to the terms as (P, I, J, a, b) lists, and
+        ``census`` holds per coordinate j the number of terms whose (I_j, J_j)
+        vector is zero and the count of each primitive direction of the
+        others, up to sign (none for the zero series)."""
         out = self._graded
         if out is None:
-            out = {}
+            groups, dirs = {}, []
             decoded = self.trunc._keys
             for P, (a, b) in self._num.items():
-                I, J, k, p, _ = decoded[P]
-                group = out.get((k, p))
+                I, J, k, p, directions = decoded[P]
+                dirs.append(directions)
+                group = groups.get((k, p))
                 if group is None:
-                    out[(k, p)] = [(P, I, J, a, b)]
+                    groups[(k, p)] = [(P, I, J, a, b)]
                 else:
                     group.append((P, I, J, a, b))
+            census = [(c.pop(None, 0), c) for c in map(Counter, zip(*dirs))]
+            out = (groups, census)
             object.__setattr__(self, "_graded", out)
         return out
 
@@ -312,7 +312,7 @@ class PoissonSeries:
 
     def min_t_degree(self):
         """Smallest t-exponent present, or None for the zero series."""
-        return min((k for k, _ in self._grades()), default=None)
+        return min((k for k, _ in self._grades()[0]), default=None)
 
     def support_I(self):
         return {I for _, I, _, _, _, _ in self._terms()}
@@ -378,8 +378,8 @@ class PoissonSeries:
         d = self.context.d or 0
         kept = 0
         A, B = {}, {}
-        for (k1, p1), F in self._grades().items():
-            for (k2, p2), G in other._grades().items():
+        for (k1, p1), F in self._grades()[0].items():
+            for (k2, p2), G in other._grades()[0].items():
                 if k1 + k2 > Dt or p1 + p2 > Dp:
                     continue
                 for P1, _, _, a1, b1 in F:
@@ -388,18 +388,10 @@ class PoissonSeries:
                         if (P + lo) & guard != guard or (P + hi) & guard:
                             continue
                         kept += 1
-                        if d:
-                            A[P] = A.get(P, 0) + a1 * a2 + d * b1 * b2
-                            B[P] = B.get(P, 0) + a1 * b2 + a2 * b1
-                        else:
-                            A[P] = A.get(P, 0) + a1 * a2
+                        A[P] = A.get(P, 0) + a1 * a2 + d * b1 * b2
+                        B[P] = B.get(P, 0) + a1 * b2 + a2 * b1
         _note_drop(len(self) * len(other) - kept)
         return _collect(self, self._den * other._den, A, B)
-
-    def __rmul__(self, other):
-        if isinstance(other, PoissonSeries):
-            return NotImplemented
-        return self.scale(other)
 
     def scale(self, scalar) -> "PoissonSeries":
         a0, b0, e = _scalar_parts(self.context, scalar)
@@ -410,6 +402,8 @@ class PoissonSeries:
             d = self.context.d or 0
             num = {P: (a * a0 + d * b * b0, a * b0 + b * a0) for P, (a, b) in num.items()}
         return self._reduced(self._den * e, num)
+
+    __rmul__ = scale
 
     def __eq__(self, other):
         if not isinstance(other, PoissonSeries):
@@ -458,7 +452,7 @@ class PoissonSeries:
 
 def _collect(like: PoissonSeries, D: int, A: dict, B: dict) -> PoissonSeries:
     """The series (A[P] + B[P]*sqrt(d)) / D over the keys of A, without the
-    keys whose sums cancelled; B is empty in the rational context."""
+    keys whose sums cancelled; B is empty or all zero in the rational context."""
     g = gcd(D, *A.values(), *B.values())
     if B:
         num = {P: (a // g, B[P] // g) for P, a in A.items() if a or B[P]}
@@ -467,27 +461,13 @@ def _collect(like: PoissonSeries, D: int, A: dict, B: dict) -> PoissonSeries:
     return like._raw(D // g, num)
 
 
-def _census_of(f: PoissonSeries) -> list:
-    """Per coordinate j: the number of f's terms whose (I_j, J_j) vector is
-    zero and the count of each primitive direction of the others, up to
-    sign; built on first use and kept with f."""
-    out = f._census
-    if out is None:
-        decoded = f.trunc._keys
-        out = [(0, {})] * f.trunc.n
-        if f._num:
-            columns = zip(*(decoded[P][4] for P in f._num))
-            out = [(c.pop(None, 0), c) for c in map(Counter, columns)]
-        object.__setattr__(f, "_census", out)
-    return out
-
-
 def _bracket_terms(f: PoissonSeries, g: PoissonSeries) -> int:
     """Terms the bracket of f and g produces before any window cut: one per
-    pair of terms and coordinate j whose (I_j, J_j) vectors are not parallel."""
+    pair of terms and coordinate j whose (I_j, J_j) vectors are not parallel;
+    none when either is zero, whose census is empty."""
     size = len(f) * len(g)
     out = 0
-    for (zA, dA), (zB, dB) in zip(_census_of(f), _census_of(g)):
+    for (zA, dA), (zB, dB) in zip(f._grades()[1], g._grades()[1]):
         parallel = zA * len(g) + zB * len(f) - zA * zB
         if len(dA) > len(dB):  # the sum is symmetric: walk the smaller map
             dA, dB = dB, dA
@@ -506,8 +486,9 @@ def poisson_bracket(f: PoissonSeries, g: PoissonSeries) -> PoissonSeries:
     terms of t-degree k1 + k2 and p-degree |J1| + |J2| - 1, so the pairs
     of (t, p)-groups that land outside the window are never visited.
     Every term a visited pair yields lies inside the t- and p-window, so
-    the drops are the terms of the whole bracket (``_bracket_terms``, from
-    the census kept with each operand) less the terms kept.
+    the drops are the terms of the whole bracket (``_bracket_terms``) less
+    the terms kept.  The groups and the census both come from each
+    operand's view (``_grades``), built in one walk over its terms.
 
     A kept pair of terms (a1 + b1*sqrt(d)) / Df and (a2 + b2*sqrt(d)) / Dg
     with weight w adds w*(a1*a2 + d*b1*b2) and w*(a1*b2 + a2*b1) to its
@@ -526,8 +507,8 @@ def poisson_bracket(f: PoissonSeries, g: PoissonSeries) -> PoissonSeries:
     kept = 0
     A, B = {}, {}
     get = A.get
-    for (k1, p1), F in f._grades().items():
-        for (k2, p2), G in g._grades().items():
+    for (k1, p1), F in f._grades()[0].items():
+        for (k2, p2), G in g._grades()[0].items():
             if k1 + k2 > Dt or p1 + p2 - 1 > Dp:
                 continue
             for P1, I1, J1, a1, b1 in F:

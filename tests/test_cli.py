@@ -298,6 +298,12 @@ BAD_INPUT = {
     "float-in-omega": _resonances({"mode": "rational"}, [0.5, "1"]),
     "liouville-m-not-above-k": {"kind": "liouville", "k_values": [3], "nu": "1", "m": 3},
     "measure-negative-R": {**MEASURE, "R": -1, "C_values": [0.1], "nu": "1"},
+    # R^2 overflows, so every point of the cube would pass the ball test;
+    # past about 8.99e307 numpy cannot even draw from [-R, R]; with R = 1e154
+    # R^2 is finite, but the ball test's sum of n = 2 squares overflows
+    "measure-R-square-overflows": {**MEASURE, "R": 1e200, "C_values": [0.1], "nu": "1"},
+    "measure-R-past-the-draw-range": {**MEASURE, "R": 1e308, "C_values": [0.1], "nu": "1"},
+    "measure-sum-of-squares-overflows": {**MEASURE, "R": 1e154, "C_values": [0.1], "nu": "1"},
     # |a|^2 underflows to 0, and a tiny |a|^2 leaves j no right inverse in floats
     "lie-homogeneous-underflowing-a": {"kind": "lie-homogeneous", "a": [5e-324], "b": [0.0]},
     "lie-homogeneous-tiny-a": {"kind": "lie-homogeneous", "a": [1e-160], "b": [0.0]},
@@ -391,6 +397,18 @@ def test_hadamard_overflow_is_a_silent_report(tmp_path):
     rc, err, report = _run_in_a_fresh_process(tmp_path, BAD_INPUT["hadamard-nan-fit"])
     assert (rc, err) == (1, "")
     assert report["error"]["type"] == "NonFiniteResult"
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["measure-R-square-overflows", "measure-R-past-the-draw-range", "measure-sum-of-squares-overflows"],
+)
+def test_measure_radius_overflow_is_a_silent_refusal(tmp_path, case):
+    # refused before any draw: no traceback, and no numpy overflow warning
+    rc, err, report = _run_in_a_fresh_process(tmp_path, BAD_INPUT[case])
+    assert (rc, err) == (1, "")
+    assert report["error"]["type"] == "InvalidInput"
+    assert "R^2 is not a finite float" in report["error"]["message"]
 
 
 def test_lie_homogeneous_overflow_is_a_silent_refusal(tmp_path):

@@ -21,7 +21,7 @@ from kamforge.diophantine import (
     measure_estimate,
     small_denominator_series,
 )
-from kamforge.errors import InsufficientSupport, ResonantDenominator
+from kamforge.errors import InsufficientSupport, InvalidInput, ResonantDenominator
 from kamforge.scalar import (
     RATIONAL,
     QuadScalar,
@@ -659,6 +659,12 @@ def test_measure_estimate_pinned_bad_counts(seed, samples, n_bad):
     # the benchmark's measure shape; counts taken with the dense half-ball product
     ests = measure_estimate(n=2, R=1.0, C_values=[0.1, 0.05, 0.025], nu=1, N=50, samples=samples, seed=seed)
     assert [round(e.fraction_bad * samples) for e in ests] == n_bad
+
+
+def test_measure_estimate_refuses_an_int_radius_past_the_float_range():
+    # R * R of an int never overflows, so the check compares it with the largest float
+    with pytest.raises(InvalidInput, match=r"n\*R\^2 is not a finite float"):
+        measure_estimate(n=2, R=10**200, C_values=[0.1], nu=1, N=3, samples=10, seed=1)
 
 
 def test_measure_estimate_large_nu_is_silent(recwarn):
