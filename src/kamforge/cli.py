@@ -418,7 +418,7 @@ def selftest(seed: int = 0) -> dict:
     # Jacobi (+ antisymmetry and Leibniz), both bracket modes, with
     # degree budgets keeping all intermediate products inside the window.
     trunc = TruncationSpec(n=2, Dp=4, Dt=3, Nq=4)
-    ok, trials = True, 0
+    ok = True
     for mode in ("torus", "symplectic"):
         for _ in range(20):
             f = random_series(rng, RATIONAL, trunc, mode)
@@ -427,14 +427,13 @@ def selftest(seed: int = 0) -> dict:
             anti = pb(f, g) + pb(g, f)
             leib = pb(f, g * h) - (pb(f, g) * h + g * pb(f, h))
             jac = pb(pb(f, g), h) + pb(pb(g, h), f) + pb(pb(h, f), g)
-            trials += 1
             if not (anti.is_zero() and leib.is_zero() and jac.is_zero()):
                 ok = False
-    props["jacobi"] = {"pass": ok, "trials": trials}
+    props["jacobi"] = {"pass": ok, "trials": 40}
 
     # Flow morphism: products and brackets preserved exactly mod trunc.
     trunc = TruncationSpec(n=2, Dp=4, Dt=3, Nq=6)
-    ok, trials = True, 0
+    ok = True
     for _ in range(10):
         f = random_series(rng, RATIONAL, trunc, "torus", n_terms=3)
         g = random_series(rng, RATIONAL, trunc, "torus", n_terms=3)
@@ -442,10 +441,9 @@ def selftest(seed: int = 0) -> dict:
         ff, gg = series.flow_apply(gen, f), series.flow_apply(gen, g)
         mult = series.flow_apply(gen, f * g) - ff * gg
         morp = series.flow_apply(gen, pb(f, g)) - pb(ff, gg)
-        trials += 1
         if not (mult.is_zero() and morp.is_zero()):
             ok = False
-    props["flow_morphism"] = {"pass": ok, "trials": trials}
+    props["flow_morphism"] = {"pass": ok, "trials": 10}
 
     # Eigen-relation: p-degree-0 part of {H, q^I} is (omega, I) q^I.
     ctx = quadratic(2)

@@ -84,7 +84,6 @@ def commutant_basis(A: np.ndarray) -> SubspaceBasis:
     _, sv, Vh = np.linalg.svd(K)
     smax = sv[0] if len(sv) and sv[0] > 0 else 1.0
     null_rows = [Vh[i] for i in range(len(sv)) if sv[i] < _RANK_TOL * smax]
-    null_rows += [Vh[i] for i in range(len(sv), n * n)]
     mats = tuple(_unvec(v, n) for v in null_rows)
     return SubspaceBasis(mats=mats)
 

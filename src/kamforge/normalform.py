@@ -106,11 +106,11 @@ def homological_solve(H: IntegrableHamiltonian, R: PoissonSeries, p_cap: int):
     with L_I(p) = sum_K h_K sum_j K_j I_j p^(K - e_j).  Its constant term
     is (omega, I); the rest, L+_I, comes from the terms |K| >= 2 and raises
     the p-degree by |K| - 1.  So every mode I is a triangular power-series
-    division by L_I: a defect X starts at R, and at each p-degree
-    m = 0 .. p_cap the terms S_{I,m} = -X_{I,m} / (omega, I) join S while
-    L+_I S_{I,m} joins X at the degrees above m.  S is supported on I != 0
-    with p-degree <= p_cap, and the residual {H, S} + R is X above p_cap
-    plus the averaged (I = 0) part of R.
+    division by L_I: a defect X starts at R, kept per occupied p-degree; at
+    each of its degrees m <= p_cap, ascending, the terms S_{I,m} =
+    -X_{I,m} / (omega, I) join S while L+_I S_{I,m} joins X above m.  S is
+    supported on I != 0 with p-degree <= p_cap, and the residual
+    {H, S} + R is X above p_cap plus the averaged (I = 0) part of R.
 
     Drops: each term of L+_I S_{I,m} past Dp is dropped and counted, one
     per S term and per term K, coordinate j of H with K_j I_j != 0 and
@@ -151,15 +151,15 @@ def homological_solve(H: IntegrableHamiltonian, R: PoissonSeries, p_cap: int):
         else:
             terms = [(P - keys.base, K, u, v) for P, _, K, u, v in group]
             plus.append((p - 1, terms, [sum(1 for t in terms if t[1][j]) for j in coords]))
-    levels = [{} for _ in range(Dp + 1)]  # X's I != 0 terms per p-degree
+    pending = {}  # X's I != 0 terms, by occupied p-degree
     averaged = {}
     for P, pair in R._num.items():
         I, _, _, p, _ = keys[P]
-        (levels[p] if any(I) else averaged)[P] = pair
+        (pending.setdefault(p, {}) if any(I) else averaged)[P] = pair
     divisors, den, S, drops = {}, {}, [], 0
-    for m in range(min(p_cap, Dp) + 1):
+    while pending and (m := min(pending)) <= p_cap:
         corr = []  # (P, I, x, y) with S_{I,m} = E (x + y sqrt(d)) / (D_I N)
-        for P, (x, y) in levels[m].items():
+        for P, (x, y) in pending.pop(m).items():
             I = keys[P][0]
             div = divisors.get(I)
             if div is None:
@@ -187,7 +187,7 @@ def homological_solve(H: IntegrableHamiltonian, R: PoissonSeries, p_cap: int):
                             a, b = added.get(T, (0, 0))
                             added[T] = (a + w * (u * x + d * v * y), b + w * (u * y + v * x))
         arrived = {keys[T][0] for T in added}
-        for level in levels[m + 1:]:  # pending terms of a mode move to D_I N
+        for level in pending.values():  # pending terms of a mode move to D_I N
             for P, (x, y) in level.items():
                 I = keys[P][0]
                 if I in arrived:
@@ -196,7 +196,7 @@ def homological_solve(H: IntegrableHamiltonian, R: PoissonSeries, p_cap: int):
         for I in arrived:
             den[I] = den.get(I, D0) * divisors[I][2]
         for T, (x, y) in added.items():
-            level = levels[keys[T][3]]
+            level = pending.setdefault(keys[T][3], {})
             a, b = level.get(T, (0, 0))
             if a + x or b + y:
                 level[T] = (a + x, b + y)
@@ -204,8 +204,8 @@ def homological_solve(H: IntegrableHamiltonian, R: PoissonSeries, p_cap: int):
                 level.pop(T, None)
     _note_drop(drops)
     residual = [(P, a, b, D0) for P, (a, b) in averaged.items()]
-    for level in levels[p_cap + 1:]:
-        residual += [(P, a, b, den.get(keys[P][0], D0)) for P, (a, b) in level.items()]
+    for p in sorted(pending):
+        residual += [(P, a, b, den.get(keys[P][0], D0)) for P, (a, b) in pending[p].items()]
     return R._gathered(S), R._gathered(residual)
 
 

@@ -4,7 +4,8 @@ Two scalar contexts are supported, and both are exact:
 
 * ``rational``   -- the rational numbers Q,
 * ``quadratic``  -- the real quadratic field Q(sqrt(d)) for a square-free
-  integer d >= 2.
+  integer d >= 2 and at most 2**40; d is checked once per field, when the
+  context or a value of another field is built.
 
 Both share one value type, :class:`QuadScalar`: an integer
 triple (a, b, den) standing for (a + b*sqrt(d)) / den, in lowest terms, so
@@ -37,6 +38,8 @@ __all__ = [
 
 
 def is_square_free(d: int) -> bool:
+    if d > 2**40:  # the radicand limit: at most 2**20 trial divisions
+        raise InvalidInput(f"radicand {d} is above the limit 2**40")
     if d < 1:
         return False
     p = 2
@@ -308,7 +311,7 @@ class ScalarContext:
             return _make(value, 0, 1, d)
         if isinstance(value, float) and not value.is_integer():
             raise ContextMismatch(f"float value in {self.mode} context")
-        f = Fraction(value)
+        f = value if isinstance(value, Fraction) else Fraction(value)
         return _make(f.numerator, 0, f.denominator, d)
 
     def sqrt_d(self):
@@ -507,12 +510,14 @@ def literal_of(ctx: ScalarContext, a: int, b: int, den: int):
 
 
 def parse_literal(ctx: ScalarContext, obj):
-    """Read a literal into ``ctx``; a malformed literal raises InvalidInput."""
+    """Read a literal into ``ctx``; a malformed literal raises InvalidInput.  An
+    [a, b, d] of the context's own d is built from it; only another d is checked."""
     try:
         if isinstance(obj, list):
             if len(obj) != 3:
                 raise ValueError("a quadratic literal is [a, b, d]")
-            value = QuadScalar(Fraction(str(obj[0])), Fraction(str(obj[1])), int(obj[2]))
+            a, b, d = Fraction(str(obj[0])), Fraction(str(obj[1])), int(obj[2])
+            value = ctx.coerce(a) + ctx.coerce(b) * ctx.sqrt_d() if d == ctx.d else QuadScalar(a, b, d)
         elif isinstance(obj, (str, int)):
             value = Fraction(obj)
         else:

@@ -163,16 +163,6 @@ class TruncationSpec:
         return cls(n=obj["n"], Dp=obj["Dp"], Dt=obj["Dt"], Nq=obj["Nq"])
 
 
-def _scalar_parts(context: ScalarContext, x) -> tuple[int, int, int]:
-    """(a, b, den) with x = (a + b*sqrt(d)) / den in ``context``."""
-    if isinstance(x, int):
-        return x, 0, 1
-    if isinstance(x, Fraction):
-        return x.numerator, 0, x.denominator
-    q = context.coerce(x)
-    return q.a, q.b, q.den
-
-
 class PoissonSeries:
     """A sparse truncated element of K[q, q^-1][[p, t]].
 
@@ -394,7 +384,8 @@ class PoissonSeries:
         return _collect(self, self._den * other._den, A, B)
 
     def scale(self, scalar) -> "PoissonSeries":
-        a0, b0, e = _scalar_parts(self.context, scalar)
+        c = self.context.coerce(scalar)
+        a0, b0, e = c.a, c.b, c.den
         if not (a0 or b0):
             return self._raw(1, {})
         num = self._num
@@ -594,7 +585,6 @@ class Generator:
 
 
 def _apply_hamiltonian_flow(S: PoissonSeries, f: PoissonSeries) -> PoissonSeries:
-    f._check(S)
     out = term = f
     # S has t-degree >= 1 (Generator checks it), so each ad_S raises every
     # t-degree and the terms vanish past Dt
@@ -615,9 +605,9 @@ def _apply_translation_flow(order: int, shift, f: PoissonSeries) -> PoissonSerie
         raise ValueError(f"translation shift has length {len(shift)}, expected {n}")
     d = f.context.d or 0
     eJ = trunc._keys.eJ
-    parts = [_scalar_parts(f.context, x) for x in shift]
-    E = lcm(*(e for _, _, e in parts))
-    delta = [(a * (E // e), b * (E // e)) for a, b, e in parts]
+    parts = [f.context.coerce(x) for x in shift]
+    E = lcm(*(c.den for c in parts))
+    delta = [(c.a * (E // c.den), c.b * (E // c.den)) for c in parts]
     M = Dt // order
     Epow = [E ** (M - s) for s in range(M + 1)]
     drops = 0

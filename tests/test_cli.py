@@ -311,6 +311,9 @@ BAD_INPUT = {
     "lie-homogeneous-overflowing-a": {"kind": "lie-homogeneous", "a": [1e308, 1e308], "b": [0, 0]},
     # ||a|| overflows to inf, so the orbit check of the transversal could never fail
     "lie-parametric-overflowing-a": {"kind": "lie-parametric", "a": [[1e300, 0], [0, 1]], "b": [[0, 0], [0, 0]]},
+    # d = 2^61 - 1 is prime, so its square-free test would divide by every p up to 1.5e9
+    "radicand-past-the-limit": _resonances({"mode": "quadratic", "d": 2**61 - 1}, ["1", ["0", "1", 2**61 - 1]]),
+    "literal-radicand-past-the-limit": _resonances({"mode": "quadratic", "d": 2}, ["1", ["0", "1", 2**61 - 1]]),
 }
 # the other cases end in InvalidInput with exit 1
 EXPECTED = {
@@ -378,7 +381,7 @@ def test_integral_float_for_an_integer_is_a_schema_error(tmp_path, case):
     }
 
 
-def _run_in_a_fresh_process(tmp_path, scenario):
+def _run_in_a_fresh_process(tmp_path, scenario, timeout=60):
     """(exit code, stderr, report) of ``python -m kamforge.cli run`` on ``scenario``."""
     scen = write(tmp_path, "s.json", scenario)
     out = tmp_path / "r.json"
@@ -386,7 +389,7 @@ def _run_in_a_fresh_process(tmp_path, scenario):
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-m", "kamforge.cli", "run", scen, "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
     return proc.returncode, proc.stderr, json.loads(out.read_text())
 
@@ -409,6 +412,30 @@ def test_measure_radius_overflow_is_a_silent_refusal(tmp_path, case):
     assert (rc, err) == (1, "")
     assert report["error"]["type"] == "InvalidInput"
     assert "R^2 is not a finite float" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("case", ["radicand-past-the-limit", "literal-radicand-past-the-limit"])
+def test_radicand_past_the_limit_is_refused_at_once(tmp_path, case):
+    # refused before the first trial division, which would otherwise run for minutes
+    rc, err, report = _run_in_a_fresh_process(tmp_path, BAD_INPUT[case], timeout=10)
+    assert (rc, err) == (1, "")
+    assert report["error"]["type"] == "InvalidInput"
+    assert "above the limit 2**40" in report["error"]["message"]
+
+
+def test_homological_solve_cost_follows_the_terms_not_dp(tmp_path):
+    # with H = p and Q = q p the defect occupies one p-degree, so Dp = 10^6
+    # gives the Dp = 4 normal form and generators, in about the same time
+    def normal_and_generators(Dp, timeout):
+        scen = {**_formal(1, H1, [[[1], [1], 0, "1"]]), "trunc": {"n": 1, "Dp": Dp, "Dt": 2, "Nq": 1}}
+        rc, err, report = _run_in_a_fresh_process(tmp_path, scen, timeout=timeout)
+        assert (rc, err) == (0, "")
+        results = report["results"]
+        return results["normal"]["terms"], [g["S"]["terms"] for g in results["generators"]]
+
+    small = normal_and_generators(4, 60)
+    assert small == ([[[0], [1], 0, "1"]], [[[[1], [1], 1, "-1"]]])
+    assert normal_and_generators(10**6, 10) == small
 
 
 def test_lie_homogeneous_overflow_is_a_silent_refusal(tmp_path):

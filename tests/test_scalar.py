@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from kamforge import scalar
-from kamforge.errors import ContextMismatch, DivisionByZero, RationalInput
+from kamforge.errors import ContextMismatch, DivisionByZero, InvalidInput, RationalInput
 from kamforge.scalar import (
     RATIONAL,
     CertifiedDecimal,
@@ -315,6 +315,26 @@ def test_comparison_with_floats_is_exact():
         one < math.inf  # non-finite floats are not compared
     with pytest.raises(TypeError):
         one + 0.5  # arithmetic with floats is not exact, so it is refused
+
+
+def test_literals_of_the_context_radicand_are_not_revalidated(monkeypatch):
+    ctx, other = quadratic(7), quadratic(2)
+    calls = []
+    real = scalar.is_square_free
+
+    def counted(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(scalar, "is_square_free", counted)
+    values = [parse_literal(ctx, [f"{k}/3", str(1 - k), 7]) for k in range(20)]
+    assert calls == []
+    assert [(x.a, x.b, x.den, x.d) for x in values] == [
+        (k, 3 - 3 * k, 3, 7) if k % 3 else (k // 3, 1 - k, 1, 7) for k in range(20)
+    ]
+    with pytest.raises(InvalidInput):  # another radicand is still checked
+        parse_literal(other, [1, 1, 4])
+    assert calls == [4]
 
 
 def test_arithmetic_does_not_revalidate_the_radicand(monkeypatch):
