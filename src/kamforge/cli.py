@@ -553,7 +553,7 @@ def _dumps(report) -> str:
     out = []
     try:
         if isinstance(report, (dict, list, tuple)):
-            _container(report, 0, out)
+            _container(report, 0, out, {})
         else:
             out.append(_scalar(report))
     except ValueError:  # only int.__repr__ raises it, past sys.get_int_max_str_digits()
@@ -565,7 +565,7 @@ def _dumps(report) -> str:
     return "".join(out)
 
 
-def _container(obj, depth: int, out: list) -> None:
+def _container(obj, depth: int, out: list, written: dict) -> None:
     """Append a dict, list or tuple at nesting ``depth`` to ``out`` as indent-2 JSON text.
 
     Dict keys are strings, as in every report.  Each nesting level costs
@@ -573,6 +573,13 @@ def _container(obj, depth: int, out: list) -> None:
     encoded in this loop, strings and ints inline, and only a nested
     container recurses.  The pieces are joined once, by the caller, so
     deep nesting is not copied level by level.
+
+    A tuple item's text is made once per object and depth and kept in
+    ``written`` under (id, depth): a series shares its I and J tuples
+    among its terms.  The key is the identity, not the value, because
+    equal tuples such as (1, 2) and (1.0, 2.0) are written differently and
+    a tuple holding a list has no hash; the report keeps every tuple alive
+    for the whole call, so no id is reused.
     """
     if not obj:
         out.append("{}" if isinstance(obj, dict) else "[]")
@@ -594,8 +601,15 @@ def _container(obj, depth: int, out: list) -> None:
             append(_encode_str(value))
         elif cls is int:
             append(int.__repr__(value))
+        elif cls is tuple:
+            text = written.get((id(value), depth))
+            if text is None:
+                part = []
+                _container(value, depth, part, written)
+                text = written[id(value), depth] = "".join(part)
+            append(text)
         elif cls is list or cls is dict or isinstance(value, (dict, list, tuple)):
-            _container(value, depth, out)
+            _container(value, depth, out, written)
         else:
             append(_scalar(value))
         append(separator)
@@ -640,13 +654,17 @@ def _write(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
         return
-    if os.path.exists(out_path) and not os.path.isfile(out_path):
+    try:
+        target = os.stat(out_path)
+    except FileNotFoundError:  # a new file
+        target = None
+    if target is not None and not stat.S_ISREG(target.st_mode):
         with open(out_path, "w") as fh:  # a device or FIFO must not be replaced
             fh.write(text)
         return
     umask = os.umask(0o022)  # only read: the report gets the mode open(out_path, "w") would leave
     os.umask(umask)
-    mode = stat.S_IMODE(os.stat(out_path).st_mode) if os.path.isfile(out_path) else 0o666 & ~umask
+    mode = 0o666 & ~umask if target is None else stat.S_IMODE(target.st_mode)
     directory = os.path.dirname(os.path.abspath(out_path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kamforge-")
     try:

@@ -154,7 +154,7 @@ def homological_solve(H: IntegrableHamiltonian, R: PoissonSeries, p_cap: int):
     pending = {}  # X's I != 0 terms, by occupied p-degree
     averaged = {}
     for P, pair in R._num.items():
-        I, _, _, p, _ = keys[P]
+        I, _, _, p, _, _ = keys[P]
         (pending.setdefault(p, {}) if any(I) else averaged)[P] = pair
     divisors, den, S, drops = {}, {}, [], 0
     while pending and (m := min(pending)) <= p_cap:

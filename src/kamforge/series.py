@@ -88,10 +88,12 @@ def _note_drop(n: int = 1) -> None:
 class _Keys(dict):
     """The packing of (I, J, k) keys for one truncation window.
 
-    As a dict it maps a packed key to (I, J, k, |J|, dirs), decoded on
-    first lookup; ``dirs[j]`` is the primitive direction of the vector
-    (I_j, J_j), with J_j > 0 or (1, 0) fixing its sign, or None for the
-    zero vector.
+    As a dict it maps a packed key to (I, J, k, |J|, dirs, (k, |J|)),
+    decoded on first lookup; ``dirs[j]`` is the primitive direction of the
+    vector (I_j, J_j), with J_j > 0 or (1, 0) fixing its sign, or None for
+    the zero vector, and (k, |J|) is the key of the term's group in
+    ``PoissonSeries._grades``.  Equal I, J and group tuples of one window
+    are one object, kept in ``tuples``, so a report holds each once.
     """
 
     def __init__(self, n: int, Dp: int, Dt: int, Nq: int):
@@ -100,9 +102,12 @@ class _Keys(dict):
         # an I field of a sum of two keys ranges over [0, 4Nq + 1], below the spare bit
         w = max((4 * Nq + 1).bit_length() + 1, Dp.bit_length(), Dt.bit_length())
         half = 1 << (w - 1)
-        self.n, self.w, self.off = n, w, off
+        self.n, self.off, self.mask = n, off, (1 << w) - 1
+        self.tuples = {}
         self.eI = [1 << (w * (2 * n - j)) for j in range(n)]
         self.eJ = [1 << (w * (n - j)) for j in range(n)]
+        # per coordinate j, the bit offsets of the fields I_j and J_j
+        self.shifts = [(w * (2 * n - j), w * (n - j)) for j in range(n)]
         self.base = off * sum(self.eI)
         # (P + lo) has every spare bit set iff each I field >= off - Nq, and
         # (P + hi) has none set iff each I field <= off + Nq
@@ -117,18 +122,23 @@ class _Keys(dict):
         return P
 
     def __missing__(self, P: int) -> tuple:
-        w, mask, n = self.w, (1 << self.w) - 1, self.n
-        fields = [(P >> (w * i)) & mask for i in range(2 * n + 1)]
-        J = tuple(fields[n:0:-1])
-        I = tuple(x - self.off for x in fields[:n:-1])
-        dirs = []
-        for a, b in zip(I, J):
+        mask, off = self.mask, self.off
+        I, J, dirs, p = [], [], [], 0
+        for sI, sJ in self.shifts:
+            a = (P >> sI & mask) - off
+            b = P >> sJ & mask
+            I.append(a)
+            J.append(b)
+            p += b
             if b:
                 g = gcd(a, b)
                 dirs.append((a // g, b // g))
             else:
                 dirs.append((1, 0) if a else None)
-        out = self[P] = (I, J, fields[0], sum(J), tuple(dirs))
+        intern = self.tuples.setdefault
+        I, J, k = tuple(I), tuple(J), P & mask
+        I, J, grade = intern(I, I), intern(J, J), (k, p)
+        out = self[P] = (I, J, k, p, tuple(dirs), intern(grade, grade))
         return out
 
 
@@ -244,11 +254,11 @@ class PoissonSeries:
             groups, dirs = {}, []
             decoded = self.trunc._keys
             for P, (a, b) in self._num.items():
-                I, J, k, p, directions = decoded[P]
+                I, J, _, _, directions, grade = decoded[P]
                 dirs.append(directions)
-                group = groups.get((k, p))
+                group = groups.get(grade)
                 if group is None:
-                    groups[(k, p)] = [(P, I, J, a, b)]
+                    groups[grade] = [(P, I, J, a, b)]
                 else:
                     group.append((P, I, J, a, b))
             census = [(c.pop(None, 0), c) for c in map(Counter, zip(*dirs))]
@@ -260,7 +270,7 @@ class PoissonSeries:
         """(P, I, J, k, a, b) of every term, in storage order."""
         decoded = self.trunc._keys
         for P, (a, b) in self._num.items():
-            I, J, k, _, _ = decoded[P]
+            I, J, k, _, _, _ = decoded[P]
             yield P, I, J, k, a, b
 
     # -- constructors ---------------------------------------------------
@@ -368,8 +378,9 @@ class PoissonSeries:
         d = self.context.d or 0
         kept = 0
         A, B = {}, {}
+        Gs = other._grades()[0].items()
         for (k1, p1), F in self._grades()[0].items():
-            for (k2, p2), G in other._grades()[0].items():
+            for (k2, p2), G in Gs:
                 if k1 + k2 > Dt or p1 + p2 > Dp:
                     continue
                 for P1, _, _, a1, b1 in F:
@@ -414,8 +425,8 @@ class PoissonSeries:
         ctx, D, decoded, num = self.context, self._den, self.trunc._keys, self._num
         terms = []
         for P in sorted(num):  # the integer order of the keys is the order of (I, J, k)
-            I, J, k, _, _ = decoded[P]
-            terms.append([list(I), list(J), k, literal_of(ctx, *num[P], D)])
+            I, J, k, _, _, _ = decoded[P]
+            terms.append([I, J, k, literal_of(ctx, *num[P], D)])
         return {
             "n": self.trunc.n,
             "context": ctx.to_json(),
@@ -498,8 +509,9 @@ def poisson_bracket(f: PoissonSeries, g: PoissonSeries) -> PoissonSeries:
     kept = 0
     A, B = {}, {}
     get = A.get
+    Gs = g._grades()[0].items()
     for (k1, p1), F in f._grades()[0].items():
-        for (k2, p2), G in g._grades()[0].items():
+        for (k2, p2), G in Gs:
             if k1 + k2 > Dt or p1 + p2 - 1 > Dp:
                 continue
             for P1, I1, J1, a1, b1 in F:
@@ -596,9 +608,13 @@ def _apply_hamiltonian_flow(S: PoissonSeries, f: PoissonSeries) -> PoissonSeries
 
 
 def _apply_translation_flow(order: int, shift, f: PoissonSeries) -> PoissonSeries:
-    """p_j -> p_j + d_j t^order on integers: with d_j = (e_j + f_j sqrt(d)) / E
-    and at most M = Dt // order shifts surviving the t-cut, a term's image
-    with s shifts is put over D * E^M by the factor E^(M - s)."""
+    """p_j -> p_j + d_j t^order on integers, with d_j = (e_j + f_j sqrt(d)) / E.
+
+    A term q^I p^J t^k has images with at most min(sum of J_j over the
+    shifted j, (Dt - k) // order) shifts inside the t-cut; with M the
+    largest of these over f's terms, an image with s shifts is put over
+    D * E^M by the factor E^(M - s).  The reduction to canonical storage
+    makes the result independent of M."""
     trunc = f.trunc
     n, Dt = trunc.n, trunc.Dt
     if len(shift) != n:
@@ -608,7 +624,11 @@ def _apply_translation_flow(order: int, shift, f: PoissonSeries) -> PoissonSerie
     parts = [f.context.coerce(x) for x in shift]
     E = lcm(*(c.den for c in parts))
     delta = [(c.a * (E // c.den), c.b * (E // c.den)) for c in parts]
-    M = Dt // order
+    moved = [j for j in range(n) if delta[j] != (0, 0)]
+    M = max(
+        (min(sum(J[j] for j in moved), (Dt - k) // order) for _, _, J, k, _, _ in f._terms()),
+        default=0,
+    )
     Epow = [E ** (M - s) for s in range(M + 1)]
     drops = 0
     num = {}

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -115,6 +116,22 @@ def test_flow_kills_first_order_terms():
     ad3 = poisson_bracket(ad2, S)
     expected = f + ad1 + ad2.scale(Fraction(1, 2)) + ad3.scale(Fraction(1, 6))
     assert res == expected
+
+
+def test_translation_flow_in_a_deep_t_window():
+    # 3p + p^2/2 under p -> p + t/3 at Dt = 20000: sum_J c_J sum_m C(J, m) (t/3)^m p^(J - m)
+    tr = TruncationSpec(n=1, Dp=2, Dt=20000, Nq=0)
+    c = {1: Fraction(3), 2: Fraction(1, 2)}
+    f = PoissonSeries(RATIONAL, tr, "torus", {((0,), (J,), 0): cJ for J, cJ in c.items()})
+    shift = Fraction(1, 3)
+    expected = {}
+    for J, cJ in c.items():
+        for m in range(J + 1):
+            key = ((0,), (J - m,), m)
+            expected[key] = expected.get(key, 0) + cJ * comb(J, m) * shift**m
+    out = flow_apply(Generator.translation(1, [shift], RATIONAL), f)
+    assert out == PoissonSeries(RATIONAL, tr, "torus", expected)
+    assert len(out) == 5 and out._den == 18
 
 
 def test_generator_validation():
