@@ -278,7 +278,7 @@ def _run_hadamard(params):
     # report names as NonFiniteResult
     with np.errstate(over="ignore"):
         exp = np.exp(-rate * np.sqrt((np.array(keys) ** 2).sum(axis=1)))
-    f = diophantine.FourierTable(dict(zip(keys, exp.tolist())), source=f"exp(-{rate}|I|)")
+    f = diophantine.FourierTable(dict(zip(keys, exp.tolist())))
     prod = diophantine.hadamard_apply(h, f)
     return {
         "denominator_fit": diophantine.decay_fit(h).to_json(),

@@ -268,7 +268,6 @@ class LiouvilleWitness:
 
     k: int
     nu: Fraction
-    m: int
     beta: tuple
     pairing_exact: Fraction
     tail_bound: Fraction
@@ -334,7 +333,6 @@ def liouville_witness(k: int, nu, m: int) -> LiouvilleWitness:
     return LiouvilleWitness(
         k=k,
         nu=nu,
-        m=m,
         beta=beta,
         pairing_exact=pairing,
         tail_bound=tail,
@@ -349,7 +347,6 @@ class FourierTable:
     """Finite table of nonnegative Fourier-coefficient magnitudes |a_I|."""
 
     coefficients: dict
-    source: str = ""
 
     def __post_init__(self):
         for I, v in self.coefficients.items():
@@ -386,7 +383,7 @@ def small_denominator_series(omega: FrequencyVector, N: int) -> FourierTable:
         _, hi, D = integer_bounds(E2 * (AA + dBB), -2 * A * B * E2, d, (AA - dBB) ** 2)
         values.append(root_value(hi, D, 2))
     coeffs = dict(zip(keys[:half] + keys[half + 1 :], values + values[::-1]))
-    return FourierTable(coeffs, source=f"small-denominators N={N}")
+    return FourierTable(coeffs)
 
 
 def hadamard_apply(h: FourierTable, f: FourierTable) -> FourierTable:
@@ -395,7 +392,7 @@ def hadamard_apply(h: FourierTable, f: FourierTable) -> FourierTable:
         I: h.coefficients[I] * f.coefficients[I]
         for I in h.coefficients.keys() & f.coefficients.keys()
     }
-    return FourierTable(coeffs, source=f"({h.source}) * ({f.source})")
+    return FourierTable(coeffs)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ p-degree, first in R's order (``homological_solve``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -225,8 +225,8 @@ class NormalFormResult:
     casimir: PoissonSeries
     remainder: PoissonSeries
     dropped_terms: int
-    per_order: list = field(default_factory=list)
-    smallest_denominator: CertifiedDecimal | None = None
+    per_order: list
+    smallest_denominator: CertifiedDecimal | None
 
     def to_json(self) -> dict:
         ctx = self.normal.context

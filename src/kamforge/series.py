@@ -80,7 +80,7 @@ def drop_count() -> int:
     return _dropped
 
 
-def _note_drop(n: int = 1) -> None:
+def _note_drop(n: int) -> None:
     global _dropped
     _dropped += n
 
@@ -610,11 +610,12 @@ def _apply_hamiltonian_flow(S: PoissonSeries, f: PoissonSeries) -> PoissonSeries
 def _apply_translation_flow(order: int, shift, f: PoissonSeries) -> PoissonSeries:
     """p_j -> p_j + d_j t^order on integers, with d_j = (e_j + f_j sqrt(d)) / E.
 
-    A term q^I p^J t^k has images with at most min(sum of J_j over the
-    shifted j, (Dt - k) // order) shifts inside the t-cut; with M the
-    largest of these over f's terms, an image with s shifts is put over
-    D * E^M by the factor E^(M - s).  The reduction to canonical storage
-    makes the result independent of M."""
+    Each term q^I p^J t^k is expanded at the shifted p_j in index order.  A
+    partial image with s shifts has t-degree k + order*s; at p_j^J_j it takes
+    m <= top = min(J_j, (Dt - k) // order - s) more, and its J_j - top images
+    past the t-cut are dropped unexpanded, so the drop count depends on the
+    numbering of the coordinates.  With M the largest s of an image, each is
+    put over D * E^M by E^(M - s); canonical storage makes M immaterial."""
     trunc = f.trunc
     n, Dt = trunc.n, trunc.Dt
     if len(shift) != n:
@@ -624,47 +625,42 @@ def _apply_translation_flow(order: int, shift, f: PoissonSeries) -> PoissonSerie
     parts = [f.context.coerce(x) for x in shift]
     E = lcm(*(c.den for c in parts))
     delta = [(c.a * (E // c.den), c.b * (E // c.den)) for c in parts]
-    moved = [j for j in range(n) if delta[j] != (0, 0)]
-    M = max(
-        (min(sum(J[j] for j in moved), (Dt - k) // order) for _, _, J, k, _, _ in f._terms()),
-        default=0,
-    )
-    Epow = [E ** (M - s) for s in range(M + 1)]
     drops = 0
-    num = {}
+    images = []  # (key, shifts, numerator pair), in the order they are made
     for P, _, J, k, a, b in f._terms():
-        # (key, t-degree, shifts, numerator pair) of the partial images
-        partial = [(P, k, 0, a, b)]
+        cut = (Dt - k) // order
+        partial = [(P, 0, a, b)]
         for j in range(n):
-            ex, ey = delta[j]
-            Jj = J[j]
+            (ex, ey), Jj = delta[j], J[j]
             if not (ex or ey) or Jj == 0:
                 continue
+            # comb(J_j, m) (E d_j)^m for the m <= min(J_j, cut) that an image takes
+            pw, px, py = [(1, 0)], 1, 0
+            for m in range(1, min(Jj, cut) + 1):
+                px, py = px * ex + d * py * ey, px * ey + py * ex
+                c = comb(Jj, m)
+                pw.append((c * px, c * py))
+            step = order - eJ[j]
             nxt = []
-            for Pp, kk, s, x, y in partial:
-                px, py = 1, 0  # (E d_j)^m
-                for m in range(Jj + 1):
-                    kk2 = kk + order * m
-                    if kk2 > Dt:
-                        drops += 1
-                    else:
-                        c = comb(Jj, m)
-                        nxt.append((
-                            Pp - m * eJ[j] + order * m, kk2, s + m,
-                            c * (x * px + d * y * py), c * (x * py + y * px),
-                        ))
-                    px, py = px * ex + d * py * ey, px * ey + py * ex
+            for Pp, s, x, y in partial:
+                top = min(Jj, cut - s)
+                drops += Jj - top
+                for m, (cx, cy) in enumerate(pw[: top + 1]):
+                    nxt.append((Pp + m * step, s + m, x * cx + d * y * cy, x * cy + y * cx))
             partial = nxt
-        for Pp, _, s, x, y in partial:
-            e = Epow[s]
-            x, y = x * e, y * e
-            prev = num.get(Pp)
-            if prev is not None:
-                x, y = prev[0] + x, prev[1] + y
-            if x or y:
-                num[Pp] = (x, y)
-            elif prev is not None:
-                del num[Pp]
+        images += partial
+    M = max((s for _, s, _, _ in images), default=0)
+    Epow = [E ** (M - s) for s in range(M + 1)]
+    num = {}
+    for Pp, s, x, y in images:
+        x, y = x * Epow[s], y * Epow[s]
+        prev = num.get(Pp)
+        if prev is not None:
+            x, y = prev[0] + x, prev[1] + y
+        if x or y:
+            num[Pp] = (x, y)
+        elif prev is not None:
+            del num[Pp]
     _note_drop(drops)
     return f._reduced(f._den * E**M, num)
 
