@@ -356,10 +356,6 @@ def _run_lie_parametric(params):
     }, {}
 
 
-def _run_selftest(params):
-    return selftest(params.get("seed", 0)), {}
-
-
 _HANDLERS = {
     "formal-nf": _run_nf,
     "kolmogorov-nf": _run_nf,
@@ -370,7 +366,7 @@ _HANDLERS = {
     "measure": _run_measure,
     "lie-homogeneous": _run_lie_homogeneous,
     "lie-parametric": _run_lie_parametric,
-    "selftest": _run_selftest,
+    "selftest": lambda params: (selftest(params.get("seed", 0)), {}),
 }
 
 
@@ -393,15 +389,6 @@ def random_series(rng, ctx, trunc, mode, n_terms=4, max_absI=1, max_pdeg=2, max_
         key = (I, tuple(J), k)
         terms[key] = terms.get(key, Fraction(0)) + coeff
     return PoissonSeries(ctx, trunc, mode, terms)
-
-
-def _random_generator(rng, ctx, trunc, mode):
-    if rng.random() < 0.5:
-        S = random_series(rng, ctx, trunc, mode, n_terms=3, max_pdeg=1, max_t=trunc.Dt)
-        S = S.select(lambda I, J, k: k >= 1)
-        return Generator.hamiltonian(S)
-    shift = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(trunc.n)]
-    return Generator.translation(rng.randint(1, max(1, trunc.Dt)), shift, ctx)
 
 
 def selftest(seed: int = 0) -> dict:
@@ -437,7 +424,12 @@ def selftest(seed: int = 0) -> dict:
     for _ in range(10):
         f = random_series(rng, RATIONAL, trunc, "torus", n_terms=3)
         g = random_series(rng, RATIONAL, trunc, "torus", n_terms=3)
-        gen = _random_generator(rng, RATIONAL, trunc, "torus")
+        if rng.random() < 0.5:
+            S = random_series(rng, RATIONAL, trunc, "torus", n_terms=3, max_pdeg=1, max_t=trunc.Dt)
+            gen = Generator.hamiltonian(S.select(lambda I, J, k: k >= 1))
+        else:
+            shift = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(trunc.n)]
+            gen = Generator.translation(rng.randint(1, trunc.Dt), shift, RATIONAL)
         ff, gg = series.flow_apply(gen, f), series.flow_apply(gen, g)
         mult = series.flow_apply(gen, f * g) - ff * gg
         morp = series.flow_apply(gen, pb(f, g)) - pb(ff, gg)

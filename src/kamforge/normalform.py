@@ -209,7 +209,7 @@ def homological_solve(H: IntegrableHamiltonian, R: PoissonSeries, p_cap: int):
     return R._gathered(S), R._gathered(residual)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalFormResult:
     """Output of a normal-form iteration.
 
@@ -245,24 +245,32 @@ class NormalFormResult:
         }
 
 
-def _iterate(H: IntegrableHamiltonian, Q: PoissonSeries, p_cap: int, two_alpha=None):
-    """The order-by-order normalization of H + tQ shared by both normal forms.
+def _iterate(H: IntegrableHamiltonian, Q: PoissonSeries, kolmogorov: bool) -> NormalFormResult:
+    """The order-by-order normalization of H + tQ behind both normal forms.
 
-    At t-order m the terms with k = m, I != 0 and p-degree <= p_cap are
-    killed by one Hamiltonian generator.  With ``two_alpha`` (Kolmogorov
-    mode) the averaged linear part b.p of order m is then removed by a
-    translation d = -(2 alpha)^{-1} b, and every order gets a ``per_order``
-    entry; otherwise only orders that had something to eliminate do.
+    At t-order m the terms with k = m, I != 0 and p-degree <= p_cap (Dp, or
+    1 in Kolmogorov mode) are killed by one Hamiltonian generator.  In
+    Kolmogorov mode the averaged linear part b.p of order m is then removed
+    by a translation d = -(2 alpha)^{-1} b, every order gets a ``per_order``
+    entry (else only orders that had something to eliminate do), and the
+    normal form is split as H + casimir + remainder.  Each S lives on
+    exactly the modes it kills (L+ keeps I), so the smallest |(omega, I)|
+    is read off the generators.
     """
+    H.series._check(Q)
+    if kolmogorov:
+        two_alpha = tuple(tuple(x * 2 for x in row) for row in H.alpha)
+        if not exact_det(two_alpha):
+            raise DegenerateAlpha("quadratic part alpha is not invertible")
     trunc = Q.trunc
     n = trunc.n
+    p_cap = 1 if kolmogorov else trunc.Dp
     zero_I = (0,) * n
     unit_J = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     drops0 = drop_count()
     current = H.series + PoissonSeries.monomial(Q.context, trunc, Q.mode, 1, k=1) * Q
     generators = []
     per_order = []
-    min_sq = None
     for m in range(1, trunc.Dt + 1):
         Rm = current.select(
             lambda I, J, k, m=m: k == m and I != zero_I and sum(J) <= p_cap
@@ -273,15 +281,10 @@ def _iterate(H: IntegrableHamiltonian, Q: PoissonSeries, p_cap: int, two_alpha=N
                 S, _ = homological_solve(H, Rm, p_cap=p_cap)
             except ResonantDenominator as exc:
                 raise ResonantDenominator(exc.vector, t_order=m) from None
-            for I in Rm.support_I():  # min |(omega, I)| kept exactly as its square
-                w = H.pairing(I)
-                sq = w * w
-                if min_sq is None or exact_sign(sq - min_sq) < 0:
-                    min_sq = sq
             gen = Generator.hamiltonian(S)
             current = flow_apply(gen, current)
             generators.append(gen)
-        if two_alpha is not None:
+        if kolmogorov:
             b = [current.coefficient(zero_I, unit_J[i], m) for i in range(n)]
             nonzero = sum(1 for x in b if exact_sign(x) != 0)
             if nonzero:
@@ -290,14 +293,24 @@ def _iterate(H: IntegrableHamiltonian, Q: PoissonSeries, p_cap: int, two_alpha=N
                 current = flow_apply(gen, current)
                 generators.append(gen)
                 eliminated += nonzero
-        if eliminated or two_alpha is not None:
+        if eliminated or kolmogorov:
             per_order.append({"t_order": m, "eliminated": eliminated})
-    zero = current._raw(1, {})
+    modes = set().union(*(g.S.support_I() for g in generators if g.kind == "hamiltonian"))
+    min_sq = min((w * w for w in map(H.pairing, modes)), default=None)  # compared exactly
+    casimir = remainder = current._raw(1, {})
+    if kolmogorov:
+        casimir = current.select(lambda I, J, k: I == J == zero_I and k >= 1)
+        remainder = current - H.series - casimir
+        for (I, J, k), _ in remainder.items():  # cannot fail by construction
+            if sum(J) < 2 or k < 1:
+                raise RuntimeError(f"remainder term {(I, J, k)} outside I^2 (t)")
+    elif current.support_I() - {zero_I}:  # cannot happen for nonresonant omega
+        raise RuntimeError("normal form retains q-dependent terms")
     return NormalFormResult(
         generators=generators,
         normal=current,
-        casimir=zero,
-        remainder=zero,
+        casimir=casimir,
+        remainder=remainder,
         dropped_terms=drop_count() - drops0,
         per_order=per_order,
         smallest_denominator=None if min_sq is None else certified_root(min_sq, 2),
@@ -311,11 +324,7 @@ def formal_normal_form(H: IntegrableHamiltonian, Q: PoissonSeries) -> NormalForm
     ResonantDenominator (carrying the vector and the t-order) when a
     resonant monomial is met.
     """
-    H.series._check(Q)
-    res = _iterate(H, Q, p_cap=Q.trunc.Dp)
-    if res.normal.support_I() - {(0,) * Q.trunc.n}:  # cannot happen for nonresonant omega
-        raise RuntimeError("normal form retains q-dependent terms")
-    return res
+    return _iterate(H, Q, kolmogorov=False)
 
 
 def _eliminate(A) -> object:
@@ -367,18 +376,7 @@ def kolmogorov_normal_form(H: IntegrableHamiltonian, Q: PoissonSeries) -> Normal
     accumulate into c(t), and everything of p-degree >= 2 is left in the
     remainder.
     """
-    H.series._check(Q)
-    two_alpha = tuple(tuple(x * 2 for x in row) for row in H.alpha)
-    if not exact_det(two_alpha):
-        raise DegenerateAlpha("quadratic part alpha is not invertible")
-    res = _iterate(H, Q, p_cap=1, two_alpha=two_alpha)
-    zero = (0,) * Q.trunc.n
-    res.casimir = res.normal.select(lambda I, J, k: I == J == zero and k >= 1)
-    res.remainder = res.normal - H.series - res.casimir
-    for (I, J, k), _ in res.remainder.items():  # cannot fail by construction
-        if sum(J) < 2 or k < 1:
-            raise RuntimeError(f"remainder term {(I, J, k)} outside I^2 (t)")
-    return res
+    return _iterate(H, Q, kolmogorov=True)
 
 
 @dataclass(frozen=True)

@@ -275,10 +275,6 @@ class PoissonSeries:
 
     # -- constructors ---------------------------------------------------
     @classmethod
-    def zero(cls, context, trunc, mode) -> "PoissonSeries":
-        return cls(context, trunc, mode)
-
-    @classmethod
     def monomial(cls, context, trunc, mode, coeff, I=None, J=None, k=0) -> "PoissonSeries":
         n = trunc.n
         I = tuple(I) if I is not None else (0,) * n
@@ -596,17 +592,6 @@ class Generator:
         }
 
 
-def _apply_hamiltonian_flow(S: PoissonSeries, f: PoissonSeries) -> PoissonSeries:
-    out = term = f
-    # S has t-degree >= 1 (Generator checks it), so each ad_S raises every
-    # t-degree and the terms vanish past Dt
-    for m in count(1):
-        term = poisson_bracket(term, S).scale(Fraction(1, m))
-        if term.is_zero():
-            return out
-        out = out + term
-
-
 def _apply_translation_flow(order: int, shift, f: PoissonSeries) -> PoissonSeries:
     """p_j -> p_j + d_j t^order on integers, with d_j = (e_j + f_j sqrt(d)) / E.
 
@@ -672,9 +657,16 @@ def flow_apply(gen: Generator, f: PoissonSeries) -> PoissonSeries:
     p_j -> p_j + d_j t^order, expanded and truncated.  Both are inverted
     by negating the generator.
     """
-    if gen.kind == "hamiltonian":
-        return _apply_hamiltonian_flow(gen.S, f)
-    return _apply_translation_flow(gen.order, gen.shift, f)
+    if gen.kind == "translation":
+        return _apply_translation_flow(gen.order, gen.shift, f)
+    out = term = f
+    # S has t-degree >= 1 (Generator checks it), so each ad_S raises every
+    # t-degree and the terms vanish past Dt
+    for m in count(1):
+        term = poisson_bracket(term, gen.S).scale(Fraction(1, m))
+        if term.is_zero():
+            return out
+        out = out + term
 
 
 def compose_flows(gens, f: PoissonSeries) -> PoissonSeries:

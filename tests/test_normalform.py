@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -275,7 +276,7 @@ def test_kolmogorov_one_dim_example():
 
 def test_kolmogorov_trivial_and_degenerate():
     H = integrable(RATIONAL, TR1, {((0,), (1,), 0): 3, ((0,), (2,), 0): Fraction(1, 2)})
-    res = kolmogorov_normal_form(H, PoissonSeries.zero(RATIONAL, TR1, "torus"))
+    res = kolmogorov_normal_form(H, PoissonSeries(RATIONAL, TR1, "torus"))
     assert res.generators == [] and res.casimir.is_zero() and res.remainder.is_zero()
     Hdeg = integrable(RATIONAL, TR1, {((0,), (1,), 0): 3})
     with pytest.raises(DegenerateAlpha, match="quadratic part alpha is not invertible"):
@@ -519,6 +520,35 @@ def test_per_order_diagnostics_and_serialization():
     blob = res.to_json()
     assert blob["normal"] == res.normal.to_json()
     assert isinstance(blob["generators"], list)
+
+
+def test_smallest_denominator_first_met_at_t_order_two():
+    # Q's modes (1, 0) and (0, -1) give |(omega, I)| = 1 and sqrt 2 at t^1;
+    # the mode (1, -1), with |1 - sqrt 2| ~ 0.41421, is eliminated only at t^2
+    tr = TruncationSpec(n=2, Dp=3, Dt=2, Nq=2)
+    H = integrable(
+        CTX2,
+        tr,
+        {
+            ((0, 0), (1, 0), 0): 1,
+            ((0, 0), (0, 1), 0): CTX2.sqrt_d(),
+            ((0, 0), (2, 0), 0): Fraction(1, 2),
+            ((0, 0), (0, 2), 0): Fraction(1, 2),
+        },
+    )
+    Q = series(CTX2, tr, {((1, 0), (0, 1), 0): 1, ((0, -1), (1, 0), 0): 1})
+    want = abs(float(FrequencyVector(H.omega, CTX2).dot((1, -1))))
+    assert abs(want - 0.41421) < 1e-5
+    for normal_form in (formal_normal_form, kolmogorov_normal_form):
+        got = normal_form(H, Q).smallest_denominator
+        assert abs(got.value - want) <= got.err
+
+
+def test_normal_form_result_is_frozen():
+    H = integrable(RATIONAL, TR1, {((0,), (1,), 0): 3, ((0,), (2,), 0): Fraction(1, 2)})
+    res = kolmogorov_normal_form(H, PoissonSeries.monomial(RATIONAL, TR1, "torus", 1, J=(1,)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.casimir = res.remainder
 
 
 def _normal_space_refusals():

@@ -38,7 +38,7 @@ def test_ring_ops_examples():
     assert (one2 + p2) * (one2 - p2) == one2 - p2 * p2
     # truncation kills p^(Dp+1)
     assert ((p2 * p2) * p2).is_zero()
-    assert (p - p) == PoissonSeries.zero(RATIONAL, TR1, "torus")
+    assert (p - p) == PoissonSeries(RATIONAL, TR1, "torus")
 
 
 def test_context_mismatch_rejected():
@@ -86,7 +86,7 @@ def test_average():
 
 def test_flow_identity_and_centrality(rng):
     tr = TruncationSpec(n=1, Dp=3, Dt=3, Nq=3)
-    zero_gen = Generator.hamiltonian(PoissonSeries.zero(RATIONAL, tr, "torus"))
+    zero_gen = Generator.hamiltonian(PoissonSeries(RATIONAL, tr, "torus"))
     f = random_series(rng, RATIONAL, tr, "torus")
     assert flow_apply(zero_gen, f) == f
     t = mono(RATIONAL, tr, "torus", 1, k=1)
