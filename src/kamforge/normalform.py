@@ -272,9 +272,16 @@ def _iterate(H: IntegrableHamiltonian, Q: PoissonSeries, kolmogorov: bool) -> No
     generators = []
     per_order = []
     for m in range(1, trunc.Dt + 1):
-        Rm = current.select(
-            lambda I, J, k, m=m: k == m and I != zero_I and sum(J) <= p_cap
-        )
+        # R_m read group by group off the view the flow's first bracket uses;
+        # homological_solve reads R per p-degree, so only that order matters
+        Rm = {
+            P: (a, b)
+            for (k, p), group in current._grades()[0].items()
+            if k == m and p <= p_cap
+            for P, I, _, a, b in group
+            if I != zero_I
+        }
+        Rm = current._reduced(current._den, Rm)
         eliminated = len(Rm)
         if eliminated:
             try:
@@ -301,7 +308,7 @@ def _iterate(H: IntegrableHamiltonian, Q: PoissonSeries, kolmogorov: bool) -> No
     if kolmogorov:
         casimir = current.select(lambda I, J, k: I == J == zero_I and k >= 1)
         remainder = current - H.series - casimir
-        for (I, J, k), _ in remainder.items():  # cannot fail by construction
+        for _, I, J, k, _, _ in remainder._terms():  # cannot fail by construction
             if sum(J) < 2 or k < 1:
                 raise RuntimeError(f"remainder term {(I, J, k)} outside I^2 (t)")
     elif current.support_I() - {zero_I}:  # cannot happen for nonresonant omega

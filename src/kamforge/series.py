@@ -25,10 +25,12 @@ hold their values; w leaves one spare top bit in every I field.  The key
 of a product term is then P1 + P2 - base, and of a bracket term the same
 less the unit of J_j (and, in symplectic mode, of I_j).  The q-window
 test reads every I field at once from the spare bits after adding two
-constants.  Keys are decoded once per window, by the memo ``_Keys``.  A
-series builds its view on first use, in one walk over its terms, and
-keeps it: the terms grouped by (t-degree, p-degree) and the census the
-bracket's drop count needs.
+constants.  Keys are decoded by the memo ``_Keys``, and equal windows
+share one memo in a process (``_window_keys`` keeps the last 16), so a
+key is decoded once per window per process, not once per series or per
+scenario.  A series builds its view on first use, in one walk over its
+terms, and keeps it: the terms grouped by (t-degree, p-degree) and the
+census the bracket's drop count needs.
 
 The bracket and the product work group by group.  A pair of groups whose
 results all fall past Dt or Dp is skipped without visiting its term
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, count
 from math import comb, gcd, lcm
 
@@ -142,6 +144,10 @@ class _Keys(dict):
         return out
 
 
+# every spec of one window, in one process, reads the same decoded keys
+_window_keys = lru_cache(maxsize=16)(_Keys)
+
+
 @dataclass(frozen=True)
 class TruncationSpec:
     """Hard sparse cutoff: max total p-degree, max t-degree, max |I|_sup."""
@@ -152,11 +158,15 @@ class TruncationSpec:
     Nq: int
 
     def __post_init__(self):
+        bounds = (self.n, self.Dp, self.Dt, self.Nq)
+        # 4.0 == 4 and True == 1: only an int may key the shared memo
+        if any(not isinstance(x, int) or isinstance(x, bool) for x in bounds):
+            raise ValueError("truncation bounds must be integers")
         if self.n < 1:
             raise ValueError("dimension n must be >= 1")
         if min(self.Dp, self.Dt, self.Nq) < 0:
             raise ValueError("truncation bounds must be >= 0")
-        object.__setattr__(self, "_keys", _Keys(self.n, self.Dp, self.Dt, self.Nq))
+        object.__setattr__(self, "_keys", _window_keys(*bounds))
 
     def admits(self, I, J, k) -> bool:
         return (
@@ -336,23 +346,10 @@ class PoissonSeries:
         if not isinstance(other, PoissonSeries):
             return NotImplemented
         self._check(other)
-        D1, D2 = self._den, other._den
-        D = lcm(D1, D2)
-        m1, m2 = D // D1, D // D2
-        if m1 == 1:
-            num = dict(self._num)
-        else:
-            num = {P: (a * m1, b * m1) for P, (a, b) in self._num.items()}
-        for P, (a, b) in other._num.items():
-            s = num.get(P)
-            if s is None:
-                num[P] = (a * m2, b * m2)
-            else:
-                a, b = s[0] + a * m2, s[1] + b * m2
-                if a or b:
-                    num[P] = (a, b)
-                else:
-                    del num[P]
+        D = lcm(self._den, other._den)
+        num = {}
+        _add_into(num, self._num, D // self._den)
+        _add_into(num, other._num, D // other._den)
         return self._reduced(D, num)
 
     def __sub__(self, other):
@@ -446,6 +443,22 @@ class PoissonSeries:
             f"PoissonSeries(mode={self.mode!r}, {len(self._num)} terms, "
             f"trunc={self.trunc})"
         )
+
+
+def _add_into(num: dict, pairs: dict, c: int) -> None:
+    """Add c times each pair of ``pairs`` to ``num``, in order: a new key is
+    appended, a sum that cancels is deleted, and a key that comes back is
+    appended again."""
+    for P, (a, b) in pairs.items():
+        s = num.get(P)
+        if s is None:
+            num[P] = (a * c, b * c)
+        else:
+            a, b = s[0] + a * c, s[1] + b * c
+            if a or b:
+                num[P] = (a, b)
+            else:
+                del num[P]
 
 
 def _collect(like: PoissonSeries, D: int, A: dict, B: dict) -> PoissonSeries:
@@ -656,17 +669,30 @@ def flow_apply(gen: Generator, f: PoissonSeries) -> PoissonSeries:
     Hamiltonian: sum_m (1/m!) ad_S^m(f).  Translation: the substitution
     p_j -> p_j + d_j t^order, expanded and truncated.  Both are inverted
     by negating the generator.
+
+    The Lie series brackets u_m = {u_(m-1), S}, u_0 = f, unscaled, up to
+    the first zero u_m, and sums f + sum_m u_m / m! once, over the lcm of
+    D_f and every D(u_m) m!, with its keys in the order a chained
+    ``out + u_m / m!`` leaves them (``_add_into``).
     """
     if gen.kind == "translation":
         return _apply_translation_flow(gen.order, gen.shift, f)
-    out = term = f
+    lie, u, fact = [(f._num, f._den)], f, 1
     # S has t-degree >= 1 (Generator checks it), so each ad_S raises every
     # t-degree and the terms vanish past Dt
     for m in count(1):
-        term = poisson_bracket(term, gen.S).scale(Fraction(1, m))
-        if term.is_zero():
-            return out
-        out = out + term
+        u = poisson_bracket(u, gen.S)
+        if u.is_zero():
+            break
+        fact *= m
+        lie.append((u._num, u._den * fact))
+    if len(lie) == 1:
+        return f
+    L = lcm(*(D for _, D in lie))
+    out = {}
+    for num, D in lie:
+        _add_into(out, num, L // D)
+    return f._reduced(L, out)
 
 
 def compose_flows(gens, f: PoissonSeries) -> PoissonSeries:

@@ -1,7 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 
 import pytest
 
@@ -119,13 +119,10 @@ def test_homological_solve_nonlinear_coupling():
     assert (poisson_bracket(H.series, S) + R).is_zero()
 
 
-@pytest.mark.parametrize("ctx", [RATIONAL, CTX2], ids=["rational", "sqrt2"])
-def test_homological_solve_residual_is_one_bracket(rng, ctx):
-    # a cubic H carries p-degree m to m + 2, so corrections of p-degree
-    # Dp - 1 and Dp have bracket terms past Dp, which are dropped
-    tr = TruncationSpec(n=2, Dp=3, Dt=2, Nq=2)
+def cubic(ctx, tr):
+    """A nonresonant H with a cubic part, which carries p-degree m to m + 2."""
     w2 = CTX2.sqrt_d() if ctx is CTX2 else Fraction(1393, 985)
-    H = integrable(
+    return integrable(
         ctx,
         tr,
         {
@@ -137,6 +134,13 @@ def test_homological_solve_residual_is_one_bracket(rng, ctx):
             ((0, 0), (1, 2), 0): Fraction(-1, 3),
         },
     )
+
+
+@pytest.mark.parametrize("ctx", [RATIONAL, CTX2], ids=["rational", "sqrt2"])
+def test_homological_solve_residual_is_one_bracket(rng, ctx):
+    # corrections of p-degree Dp - 1 and Dp have bracket terms past Dp, which are dropped
+    tr = TruncationSpec(n=2, Dp=3, Dt=2, Nq=2)
+    H = cubic(ctx, tr)
     zero_I = (0, 0)
     solve_drops = 0
     for _ in range(8):
@@ -172,7 +176,7 @@ RESONANT_H = {
 }
 
 
-@pytest.mark.parametrize(
+FIRST_RESONANCES = pytest.mark.parametrize(
     "terms, vector",
     [
         # (2, 2) is the first resonant mode in R, (1, 1) has R's first resonant term of degree 1
@@ -182,12 +186,58 @@ RESONANT_H = {
     ],
     ids=["first-in-R-order", "lowest-degree-first"],
 )
+
+
+@FIRST_RESONANCES
 def test_homological_solve_names_the_first_resonance(terms, vector):
     H = integrable(RATIONAL, TR_RES, RESONANT_H)
     R = series(RATIONAL, TR_RES, [((I, J, 1), 1) for I, J in terms])
     with pytest.raises(ResonantDenominator) as exc:
         homological_solve(H, R, p_cap=3)
     assert exc.value.vector == vector
+
+
+def interleavings(R):
+    """R re-stored with its p-degrees ascending, descending and taken in
+    turn; each p-degree keeps its own order."""
+    levels = {}
+    for key, c in R.items():
+        levels.setdefault(sum(key[1]), []).append((key, c))
+    levels = [levels[p] for p in sorted(levels)]
+    in_turn = [term for row in zip_longest(*levels) for term in row if term is not None]
+    orders = [sum(levels, []), sum(levels[::-1], []), in_turn]
+    return [series(R.context, R.trunc, order) for order in orders]
+
+
+@pytest.mark.parametrize("ctx", [RATIONAL, CTX2], ids=["rational", "sqrt2"])
+def test_homological_solve_depends_only_on_the_order_within_each_p_degree(rng, ctx):
+    # _iterate hands the solve R_m grouped by (t, p)-degree, not in current's order
+    tr = TruncationSpec(n=2, Dp=3, Dt=2, Nq=2)
+    H = cubic(ctx, tr)
+    reordered = 0
+    for _ in range(8):
+        R = random_series(rng, ctx, tr, "torus", n_terms=10, max_absI=2, max_pdeg=3, max_t=1)
+        R = R.select(lambda I, J, k: k == 1 and I != (0, 0))
+        orders = {tuple(R._num)} | {tuple(X._num) for X in interleavings(R)}
+        reordered += len(orders) > 1
+        for p_cap in (1, 3):
+            S, residual = homological_solve(H, R, p_cap=p_cap)
+            for X in interleavings(R):
+                S2, residual2 = homological_solve(H, X, p_cap=p_cap)
+                assert S2 == S and list(S2._num) == list(S._num)
+                assert residual2 == residual and list(residual2._num) == list(residual._num)
+    assert reordered
+
+
+@pytest.mark.parametrize("ctx", [RATIONAL, CTX2], ids=["rational", "sqrt2"])
+@FIRST_RESONANCES
+def test_named_resonance_depends_only_on_the_order_within_each_p_degree(ctx, terms, vector):
+    H = integrable(ctx, TR_RES, RESONANT_H)
+    R = series(ctx, TR_RES, [((I, J, 1), 1) for I, J in terms])
+    for X in interleavings(R):
+        with pytest.raises(ResonantDenominator) as exc:
+            homological_solve(H, X, p_cap=3)
+        assert exc.value.vector == vector
 
 
 def test_homological_solve_leaves_a_resonant_mode_above_p_cap():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import count
 from math import comb
 
 import pytest
@@ -458,3 +459,68 @@ def test_series_constructor_validation():
 def test_truncation_spec_validation(n, Dp, Dt, Nq, message):
     with pytest.raises(ValueError, match=message):
         TruncationSpec(n=n, Dp=Dp, Dt=Dt, Nq=Nq)
+
+
+@pytest.mark.parametrize(
+    "n, Dp, Dt, Nq",
+    [(2, 4.0, 3, 4), (2.0, 4, 3, 4), (2, "4", 3, 4), (True, 4, 3, 4)],
+    ids=["float-Dp", "float-n", "str-Dp", "bool-n"],
+)
+def test_truncation_spec_rejects_non_integer_bounds(n, Dp, Dt, Nq):
+    # 4.0 == 4 and True == 1, so such a spec would otherwise share an int window's keys
+    with pytest.raises(ValueError, match="truncation bounds must be integers"):
+        TruncationSpec(n=n, Dp=Dp, Dt=Dt, Nq=Nq)
+
+
+def test_equal_windows_share_their_decoded_keys():
+    a, b = TruncationSpec(n=2, Dp=4, Dt=3, Nq=4), TruncationSpec(n=2, Dp=4, Dt=3, Nq=4)
+    assert a._keys is b._keys
+    assert a._keys is not TruncationSpec(n=2, Dp=4, Dt=3, Nq=5)._keys
+
+
+def _chained_flow(gen, f):
+    """The Lie series as a chain: each scaled bracket added to the running sum."""
+    out = term = f
+    for m in count(1):
+        term = poisson_bracket(term, gen.S).scale(Fraction(1, m))
+        if term.is_zero():
+            return out
+        out = out + term
+
+
+def _check_flow_against_chain(gen, f):
+    d0 = drop_count()
+    want = _chained_flow(gen, f)
+    d1 = drop_count()
+    got = flow_apply(gen, f)
+    assert got == want
+    assert list(got._num) == list(want._num)  # == does not compare storage order
+    assert drop_count() - d1 == d1 - d0
+    return got
+
+
+@pytest.mark.parametrize("mode", ["torus", "symplectic"])
+@pytest.mark.parametrize("ctx", [RATIONAL, quadratic(2)], ids=["rational", "sqrt2"])
+def test_flow_apply_matches_the_chained_lie_series(ctx, mode, rng):
+    tr = TruncationSpec(n=2, Dp=4, Dt=3, Nq=4)
+    unit = ctx.one if ctx is RATIONAL else 1 + ctx.sqrt_d()  # gives b != 0 in Q(sqrt 2)
+    for _ in range(12):
+        f = random_series(rng, ctx, tr, mode, n_terms=8, max_absI=2, max_pdeg=3, max_t=2)
+        S = random_series(rng, ctx, tr, mode, n_terms=4, max_absI=1, max_pdeg=2, max_t=2)
+        S = S.select(lambda I, J, k: k >= 1).scale(unit)
+        _check_flow_against_chain(Generator.hamiltonian(S), f.scale(unit))
+
+
+def test_flow_apply_appends_a_key_that_cancels_and_comes_back():
+    # with S = q t: {f, S} = (d_p f) q t, so for f = -q^2 t^2 + p^2 + p q t
+    # u_1 = 2 p q t + q^2 t^2 cancels f's first key and u_2 / 2 = q^2 t^2 brings it back
+    tr = TruncationSpec(n=1, Dp=3, Dt=2, Nq=3)
+    back = ((2,), (0,), 2)
+    f = PoissonSeries(RATIONAL, tr, "torus", [(back, -1), (((0,), (2,), 0), 1), (((1,), (1,), 1), 1)])
+    S = mono(RATIONAL, tr, "torus", 1, I=(1,), k=1)
+    gen = Generator.hamiltonian(S)
+    assert (f + poisson_bracket(f, S)).coefficient(*back) == 0
+    got = _check_flow_against_chain(gen, f)
+    want = {((0,), (2,), 0): 1, ((1,), (1,), 1): 3, back: 1}
+    assert got == PoissonSeries(RATIONAL, tr, "torus", want)
+    assert [key for key, _ in got.items()] == list(want)  # the key that came back is last

@@ -2,7 +2,9 @@
 
 ``perfbench/tracer.py`` is loaded from its path and only read: no wrapper
 is installed.  A refactor that renames or removes a traced function fails
-here instead of when the benchmark runs.
+here instead of when the benchmark runs, and one that stops calling the
+bracket through its module name, or with other arguments than ``(f, g)``,
+fails the flow test below.
 """
 
 import importlib
@@ -42,3 +44,29 @@ def test_tracer_target_resolves(modname, path, count):
 def test_tracer_targets_are_unique():
     names = [(mod, path) for _, mod, path, _, _ in TARGETS]
     assert len(names) == len(set(names))
+
+
+def test_flow_apply_sends_every_lie_step_through_the_module_bracket(monkeypatch):
+    # the tracer's bracket counter unpacks ``f, g = args`` of kamforge.series.poisson_bracket
+    from kamforge import Generator, PoissonSeries, TruncationSpec, series
+    from kamforge.scalar import RATIONAL
+
+    bracket, calls = series.poisson_bracket, []
+
+    def recorder(*args, **kwargs):
+        assert not kwargs
+        f, g = args
+        out = bracket(f, g)
+        calls.append((f, g, out))
+        return out
+
+    monkeypatch.setattr(series, "poisson_bracket", recorder)
+    tr = TruncationSpec(n=1, Dp=3, Dt=2, Nq=3)
+    f = PoissonSeries.monomial(RATIONAL, tr, "torus", 1, J=(2,))
+    S = PoissonSeries.monomial(RATIONAL, tr, "torus", 1, I=(1,), k=1)
+    series.flow_apply(Generator.hamiltonian(S), f)
+    # {p^2, q t} = 2 p q t, {2 p q t, q t} = 2 q^2 t^2, and the third bracket is past Dt
+    assert len(calls) == 3
+    assert calls[0][0] is f and all(g is S for _, g, _ in calls)
+    assert all(nxt is prev for (_, _, prev), (nxt, _, _) in zip(calls, calls[1:]))
+    assert calls[-1][2].is_zero()
