@@ -272,16 +272,8 @@ def _iterate(H: IntegrableHamiltonian, Q: PoissonSeries, kolmogorov: bool) -> No
     generators = []
     per_order = []
     for m in range(1, trunc.Dt + 1):
-        # R_m read group by group off the view the flow's first bracket uses;
         # homological_solve reads R per p-degree, so only that order matters
-        Rm = {
-            P: (a, b)
-            for (k, p), group in current._grades()[0].items()
-            if k == m and p <= p_cap
-            for P, I, _, a, b in group
-            if I != zero_I
-        }
-        Rm = current._reduced(current._den, Rm)
+        Rm = current.oscillating_part(m, p_cap)
         eliminated = len(Rm)
         if eliminated:
             try:

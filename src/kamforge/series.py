@@ -25,12 +25,10 @@ hold their values; w leaves one spare top bit in every I field.  The key
 of a product term is then P1 + P2 - base, and of a bracket term the same
 less the unit of J_j (and, in symplectic mode, of I_j).  The q-window
 test reads every I field at once from the spare bits after adding two
-constants.  Keys are decoded by the memo ``_Keys``, and equal windows
-share one memo in a process (``_window_keys`` keeps the last 16), so a
-key is decoded once per window per process, not once per series or per
-scenario.  A series builds its view on first use, in one walk over its
-terms, and keeps it: the terms grouped by (t-degree, p-degree) and the
-census the bracket's drop count needs.
+constants.  Keys are decoded once per window, by the memo ``_Keys``.  A
+series builds its view on first use, in one walk over its terms, and
+keeps it: the terms grouped by (t-degree, p-degree) and the census the
+bracket's drop count needs.
 
 The bracket and the product work group by group.  A pair of groups whose
 results all fall past Dt or Dp is skipped without visiting its term
@@ -53,7 +51,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, count
 from math import comb, gcd, lcm
 
@@ -144,10 +141,6 @@ class _Keys(dict):
         return out
 
 
-# every spec of one window, in one process, reads the same decoded keys
-_window_keys = lru_cache(maxsize=16)(_Keys)
-
-
 @dataclass(frozen=True)
 class TruncationSpec:
     """Hard sparse cutoff: max total p-degree, max t-degree, max |I|_sup."""
@@ -159,14 +152,14 @@ class TruncationSpec:
 
     def __post_init__(self):
         bounds = (self.n, self.Dp, self.Dt, self.Nq)
-        # 4.0 == 4 and True == 1: only an int may key the shared memo
+        # the key packing needs int bounds, and True would pass as n = 1
         if any(not isinstance(x, int) or isinstance(x, bool) for x in bounds):
             raise ValueError("truncation bounds must be integers")
         if self.n < 1:
             raise ValueError("dimension n must be >= 1")
         if min(self.Dp, self.Dt, self.Nq) < 0:
             raise ValueError("truncation bounds must be >= 0")
-        object.__setattr__(self, "_keys", _window_keys(*bounds))
+        object.__setattr__(self, "_keys", _Keys(*bounds))
 
     def admits(self, I, J, k) -> bool:
         return (
@@ -328,6 +321,20 @@ class PoissonSeries:
         num = {P: (a, b) for P, I, J, k, a, b in self._terms() if pred(I, J, k)}
         return self._reduced(self._den, num)
 
+    def oscillating_part(self, k: int, p_max: int) -> "PoissonSeries":
+        """Sub-series of the terms of t-degree k, p-degree <= p_max and I != 0,
+        read off the view: each p-degree keeps its storage order, but the
+        p-degrees follow one another in the view's order."""
+        zero_I = (0,) * self.trunc.n
+        num = {
+            P: (a, b)
+            for (t, p), group in self._grades()[0].items()
+            if t == k and p <= p_max
+            for P, I, _, a, b in group
+            if I != zero_I
+        }
+        return self._reduced(self._den, num)
+
     def t_part(self, k0: int) -> "PoissonSeries":
         return self.select(lambda I, J, k: k == k0)
 
@@ -346,10 +353,10 @@ class PoissonSeries:
         if not isinstance(other, PoissonSeries):
             return NotImplemented
         self._check(other)
-        D = lcm(self._den, other._den)
-        num = {}
-        _add_into(num, self._num, D // self._den)
-        _add_into(num, other._num, D // other._den)
+        D1, D2 = self._den, other._den
+        D = lcm(D1, D2)
+        num = _scaled_copy(self._num, D // D1)
+        _add_into(num, other._num, D // D2)
         return self._reduced(D, num)
 
     def __sub__(self, other):
@@ -443,6 +450,13 @@ class PoissonSeries:
             f"PoissonSeries(mode={self.mode!r}, {len(self._num)} terms, "
             f"trunc={self.trunc})"
         )
+
+
+def _scaled_copy(pairs: dict, c: int) -> dict:
+    """c times each pair of ``pairs``, in their order."""
+    if c == 1:
+        return dict(pairs)
+    return {P: (a * c, b * c) for P, (a, b) in pairs.items()}
 
 
 def _add_into(num: dict, pairs: dict, c: int) -> None:
@@ -677,7 +691,7 @@ def flow_apply(gen: Generator, f: PoissonSeries) -> PoissonSeries:
     """
     if gen.kind == "translation":
         return _apply_translation_flow(gen.order, gen.shift, f)
-    lie, u, fact = [(f._num, f._den)], f, 1
+    lie, u, fact = [], f, 1
     # S has t-degree >= 1 (Generator checks it), so each ad_S raises every
     # t-degree and the terms vanish past Dt
     for m in count(1):
@@ -686,10 +700,10 @@ def flow_apply(gen: Generator, f: PoissonSeries) -> PoissonSeries:
             break
         fact *= m
         lie.append((u._num, u._den * fact))
-    if len(lie) == 1:
+    if not lie:
         return f
-    L = lcm(*(D for _, D in lie))
-    out = {}
+    L = lcm(f._den, *(D for _, D in lie))
+    out = _scaled_copy(f._num, L // f._den)
     for num, D in lie:
         _add_into(out, num, L // D)
     return f._reduced(L, out)

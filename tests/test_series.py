@@ -467,15 +467,9 @@ def test_truncation_spec_validation(n, Dp, Dt, Nq, message):
     ids=["float-Dp", "float-n", "str-Dp", "bool-n"],
 )
 def test_truncation_spec_rejects_non_integer_bounds(n, Dp, Dt, Nq):
-    # 4.0 == 4 and True == 1, so such a spec would otherwise share an int window's keys
+    # a float bound used to fail inside the key packing, and True passed as n = 1
     with pytest.raises(ValueError, match="truncation bounds must be integers"):
         TruncationSpec(n=n, Dp=Dp, Dt=Dt, Nq=Nq)
-
-
-def test_equal_windows_share_their_decoded_keys():
-    a, b = TruncationSpec(n=2, Dp=4, Dt=3, Nq=4), TruncationSpec(n=2, Dp=4, Dt=3, Nq=4)
-    assert a._keys is b._keys
-    assert a._keys is not TruncationSpec(n=2, Dp=4, Dt=3, Nq=5)._keys
 
 
 def _chained_flow(gen, f):
@@ -524,3 +518,19 @@ def test_flow_apply_appends_a_key_that_cancels_and_comes_back():
     want = {((0,), (2,), 0): 1, ((1,), (1,), 1): 3, back: 1}
     assert got == PoissonSeries(RATIONAL, tr, "torus", want)
     assert [key for key, _ in got.items()] == list(want)  # the key that came back is last
+
+
+@pytest.mark.parametrize("ctx", [RATIONAL, quadratic(2)], ids=["rational", "sqrt2"])
+def test_oscillating_part_keeps_the_order_within_each_p_degree(ctx, rng):
+    tr = TruncationSpec(n=2, Dp=4, Dt=3, Nq=2)
+    for _ in range(20):
+        f = random_series(rng, ctx, tr, "torus", n_terms=14, max_absI=2, max_pdeg=4, max_t=3)
+        for k in range(tr.Dt + 1):
+            for p_max in (0, 1, tr.Dp):
+                got = f.oscillating_part(k, p_max)
+                want = f.select(lambda I, J, t: t == k and I != (0, 0) and sum(J) <= p_max)
+                assert got == want
+                for p in range(p_max + 1):
+                    assert [term for term in got.items() if sum(term[0][1]) == p] == [
+                        term for term in want.items() if sum(term[0][1]) == p
+                    ]
