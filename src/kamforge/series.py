@@ -285,12 +285,10 @@ class PoissonSeries:
         return cls(context, trunc, mode, {(I, J, k): coeff})
 
     # -- inspection -----------------------------------------------------
-    def _scalar(self, a: int, b: int):
-        return _make(a, b, self._den, self.context.d or 0)
-
     def items(self) -> list:
         """The terms as ((I, J, k), scalar) pairs."""
-        return [((I, J, k), self._scalar(a, b)) for _, I, J, k, a, b in self._terms()]
+        D, d = self._den, self.context.d or 0
+        return [((I, J, k), _make(a, b, D, d)) for _, I, J, k, a, b in self._terms()]
 
     def __len__(self):
         return len(self._num)
@@ -306,12 +304,8 @@ class PoissonSeries:
         if valid and trunc.admits(I, J, k):
             pair = self._num.get(trunc._keys.pack(I, J, k))
             if pair is not None:
-                return self._scalar(*pair)
+                return _make(*pair, self._den, self.context.d or 0)
         return self.context.zero
-
-    def min_t_degree(self):
-        """Smallest t-exponent present, or None for the zero series."""
-        return min((k for k, _ in self._grades()[0]), default=None)
 
     def support_I(self):
         return {I for _, I, _, _, _, _ in self._terms()}
@@ -392,18 +386,15 @@ class PoissonSeries:
                         A[P] = A.get(P, 0) + a1 * a2 + d * b1 * b2
                         B[P] = B.get(P, 0) + a1 * b2 + a2 * b1
         _note_drop(len(self) * len(other) - kept)
-        return _collect(self, self._den * other._den, A, B)
+        return self._reduced(self._den * other._den, {P: (a, B[P]) for P, a in A.items() if a or B[P]})
 
     def scale(self, scalar) -> "PoissonSeries":
         c = self.context.coerce(scalar)
-        a0, b0, e = c.a, c.b, c.den
-        if not (a0 or b0):
+        if not c:
             return self._raw(1, {})
-        num = self._num
-        if (a0, b0) != (1, 0):  # 1/e, as in the Lie series, only moves the denominator
-            d = self.context.d or 0
-            num = {P: (a * a0 + d * b * b0, a * b0 + b * a0) for P, (a, b) in num.items()}
-        return self._reduced(self._den * e, num)
+        a0, b0, d = c.a, c.b, self.context.d or 0
+        num = {P: (a * a0 + d * b * b0, a * b0 + b * a0) for P, (a, b) in self._num.items()}
+        return self._reduced(self._den * c.den, num)
 
     __rmul__ = scale
 
@@ -417,8 +408,6 @@ class PoissonSeries:
             and self._den == other._den
             and self._num == other._num
         )
-
-    __hash__ = None
 
     # -- serialization ----------------------------------------------------
     def to_json(self) -> dict:
@@ -475,17 +464,6 @@ def _add_into(num: dict, pairs: dict, c: int) -> None:
                 del num[P]
 
 
-def _collect(like: PoissonSeries, D: int, A: dict, B: dict) -> PoissonSeries:
-    """The series (A[P] + B[P]*sqrt(d)) / D over the keys of A, without the
-    keys whose sums cancelled; B is empty or all zero in the rational context."""
-    g = gcd(D, *A.values(), *B.values())
-    if B:
-        num = {P: (a // g, B[P] // g) for P, a in A.items() if a or B[P]}
-    else:
-        num = {P: (a // g, 0) for P, a in A.items() if a}
-    return like._raw(D // g, num)
-
-
 def _bracket_terms(f: PoissonSeries, g: PoissonSeries) -> int:
     """Terms the bracket of f and g produces before any window cut: one per
     pair of terms and coordinate j whose (I_j, J_j) vectors are not parallel;
@@ -494,8 +472,6 @@ def _bracket_terms(f: PoissonSeries, g: PoissonSeries) -> int:
     out = 0
     for (zA, dA), (zB, dB) in zip(f._grades()[1], g._grades()[1]):
         parallel = zA * len(g) + zB * len(f) - zA * zB
-        if len(dA) > len(dB):  # the sum is symmetric: walk the smaller map
-            dA, dB = dB, dA
         parallel += sum(m * dB.get(d, 0) for d, m in dA.items())
         out += size - parallel
     return out
@@ -558,7 +534,8 @@ def poisson_bracket(f: PoissonSeries, g: PoissonSeries) -> PoissonSeries:
                         A[P] = get(P, 0) + w * x
                         B[P] = B.get(P, 0) + w * y
     _note_drop(_bracket_terms(f, g) - kept)
-    return _collect(f, f._den * g._den, A, B)
+    # B is empty in the rational context
+    return f._reduced(f._den * g._den, {P: (a, B.get(P, 0)) for P, a in A.items() if a or B.get(P)})
 
 
 def average(f: PoissonSeries) -> PoissonSeries:
@@ -587,8 +564,7 @@ class Generator:
         if self.kind == "hamiltonian":
             if not isinstance(self.S, PoissonSeries):
                 raise InvalidInput("a hamiltonian generator needs a series S")
-            mt = self.S.min_t_degree()
-            if mt is not None and mt < 1:
+            if any(k < 1 for k, _ in self.S._grades()[0]):
                 raise GeneratorOrderViolation("hamiltonian generator must have min t-degree >= 1")
         elif self.kind == "translation":
             if self.order < 1:

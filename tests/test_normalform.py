@@ -11,6 +11,7 @@ from kamforge import (
     PoissonSeries,
     TruncationSpec,
     compose_flows,
+    flow_apply,
     formal_normal_form,
     homological_solve,
     kolmogorov_normal_form,
@@ -304,6 +305,57 @@ def test_formal_normal_form_random_perturbations(rng):
         res = formal_normal_form(H, Q)
         assert res.normal.select(lambda I, J, k: I != zero_I).is_zero()
         assert compose_flows(res.generators, H.series + t_times(Q)) == res.normal
+
+
+# (context, declared window (Dp, Dt, Nq), H) of the conjugation oracle
+CONJUGATION_CASES = {
+    "n2-sqrt2": (
+        CTX2,
+        (2, 3, 1),
+        {
+            ((0, 0), (1, 0), 0): 1,
+            ((0, 0), (0, 1), 0): CTX2.sqrt_d(),
+            ((0, 0), (2, 0), 0): Fraction(1, 2),
+            ((0, 0), (0, 2), 0): Fraction(1, 2),
+        },
+    ),
+    "n1-rational": (RATIONAL, (3, 3, 1), {((0,), (1,), 0): 1, ((0,), (2,), 0): Fraction(1, 2)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONJUGATION_CASES))
+def test_formal_normal_form_is_invariant_under_conjugation(case):
+    """A central flow exp(ad S), S of t-degree >= 1, takes H + tQ to H + tQ'.
+    The formal normal form is unique, so Q and Q' have the same one.
+
+    Unlike replaying the generators, this checks the normal form itself.  It
+    is computed in the box W1 = (Dp + Dt, Dt, max(Nq, Dt r)), r = 1 the
+    largest |I|_sup of Q and S, and projected onto the declared window W0:
+    the weight |J| + k never falls under brackets and flows whose operands
+    have weight >= 1, so no term past W1 feeds W0, and a term of t-order k
+    has |I|_sup <= k r.
+    """
+    ctx, (Dp, Dt, Nq), h_terms = CONJUGATION_CASES[case]
+    n = len(next(iter(h_terms))[0])
+    W0 = TruncationSpec(n=n, Dp=Dp, Dt=Dt, Nq=Nq)
+    W1 = TruncationSpec(n=n, Dp=Dp + Dt, Dt=Dt, Nq=max(Nq, Dt))
+    H = integrable(ctx, W1, h_terms)
+    differ = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        Q = random_series(rng, ctx, W1, "torus", n_terms=4, max_absI=1, max_pdeg=2, max_t=0)
+        S = random_series(rng, ctx, W1, "torus", n_terms=3, max_absI=1, max_pdeg=2, max_t=Dt)
+        S = S.select(lambda I, J, k: k >= 1)
+        X = flow_apply(Generator.hamiltonian(S), H.series + t_times(Q))
+        shifted = {}
+        for (I, J, k), c in (X - H.series).items():
+            assert k >= 1
+            shifted[(I, J, k - 1)] = c
+        Q2 = series(ctx, W1, shifted)
+        normal, normal2 = (formal_normal_form(H, q).normal.select(W0.admits) for q in (Q, Q2))
+        if normal != normal2:
+            differ.append(seed)
+    assert differ == []
 
 
 def test_kolmogorov_one_dim_example():

@@ -53,6 +53,12 @@ def test_context_mismatch_rejected():
         poisson_bracket(f, h)
 
 
+def test_series_is_unhashable():
+    # a series defines __eq__ and no __hash__
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(mono(RATIONAL, TR1, "torus", 1, J=(1,)))
+
+
 def test_bracket_examples():
     p = mono(RATIONAL, TR1, "torus", 1, J=(1,))
     q = mono(RATIONAL, TR1, "torus", 1, I=(1,))
@@ -138,6 +144,9 @@ def test_translation_flow_in_a_deep_t_window():
 def test_generator_validation():
     with pytest.raises(GeneratorOrderViolation):
         Generator.hamiltonian(mono(RATIONAL, TR1, "torus", 1, I=(1,), J=(1,)))  # k = 0
+    with pytest.raises(GeneratorOrderViolation):  # one term of t-degree 0 among others
+        Generator.hamiltonian(mono(RATIONAL, TR1, "torus", 1, J=(1,), k=2) + mono(RATIONAL, TR1, "torus", 1))
+    Generator.hamiltonian(PoissonSeries(RATIONAL, TR1, "torus"))  # the zero series has no t-degree
     with pytest.raises(GeneratorOrderViolation):
         Generator.translation(0, [1], RATIONAL)
 
