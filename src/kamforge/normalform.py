@@ -17,8 +17,9 @@ mode.  For H in K[[p]], {H, q^I p^J t^k} = L_I(p) q^I p^J t^k with
 L_I(0) = (omega, I), so each mode I of R is a triangular power-series
 division by L_I, in ascending p-degree, on integer numerators; no
 generic bracket is needed.  Terms past Dp are counted as the bracket
-{H, S} would drop them, and a resonant mode is named at its lowest
-p-degree, first in R's order (``homological_solve``).
+{H, S} would drop them, and a resonance is named at the lowest p-degree
+that has one, by the least resonant mode there in tuple order
+(``homological_solve``).
 """
 
 from __future__ import annotations
@@ -115,17 +116,13 @@ def homological_solve(H: IntegrableHamiltonian, R: PoissonSeries, p_cap: int):
     Drops: each term of L+_I S_{I,m} past Dp is dropped and counted, one
     per S term and per term K, coordinate j of H with K_j I_j != 0 and
     |K| + m - 1 > Dp; that is the drop count of ``poisson_bracket(H.series,
-    S)``.  Resonance: the first term of the lowest p-degree <= p_cap, in
-    R's order, whose mode has (omega, I) = 0 raises ResonantDenominator; a
-    mode lying wholly above p_cap is left in the residual.  Order, for an
-    R of one t-degree (``_iterate`` passes k = m, ``normal_space_class`` a
-    t-free f): within a degree X keeps its terms in the order they first
-    appear, as a running sum of series would: R's terms, then those L+
-    creates, in the order of the loops over H's p-degree groups, H's
-    terms, S's terms and j.  S takes that order degree by degree.  The
-    flows built on S inherit it, and later t-orders name their resonances
-    by it.  A mixed-t R gets the same S and residual, in an order that is
-    not pinned.
+    S)``.  Resonance: before dividing at a p-degree m <= p_cap, every mode
+    of X at m is tested, and if any has (omega, I) = 0, ResonantDenominator
+    names the least of them in tuple order; a mode lying wholly above p_cap
+    is left in the residual.  So the named mode depends on R's content, not
+    on how R is stored.  The error keeps one vector, not the sorted list
+    of all resonant modes at m, so with two or more of them a relabeling
+    of the coordinates can name a mode other than the relabeled one.
 
     Integers: H = sum (u_K + v_K sqrt(d)) p^K / E, so (omega, I) =
     (A + B sqrt(d)) / E with A = sum_j I_j u_{e_j}, B likewise, and
@@ -158,17 +155,18 @@ def homological_solve(H: IntegrableHamiltonian, R: PoissonSeries, p_cap: int):
         (pending.setdefault(p, {}) if any(I) else averaged)[P] = pair
     divisors, den, S, drops = {}, {}, [], 0
     while pending and (m := min(pending)) <= p_cap:
+        level = pending.pop(m)
+        new = {keys[P][0] for P in level} - divisors.keys()
+        for I in new:
+            A, B = sum(map(mul, I, u1)), sum(map(mul, I, v1))
+            c, c2, N = (-A, B, A * A - d * B * B) if B else (-1, 0, A)
+            divisors[I] = (c, c2, N) if N > 0 else (-c, -c2, -N)
+        if resonant := [I for I in new if not divisors[I][2]]:
+            raise ResonantDenominator(min(resonant))
         corr = []  # (P, I, x, y) with S_{I,m} = E (x + y sqrt(d)) / (D_I N)
-        for P, (x, y) in pending.pop(m).items():
+        for P, (x, y) in level.items():
             I = keys[P][0]
-            div = divisors.get(I)
-            if div is None:
-                A, B = sum(map(mul, I, u1)), sum(map(mul, I, v1))
-                c, c2, N = (-A, B, A * A - d * B * B) if B else (-1, 0, A)
-                if not N:
-                    raise ResonantDenominator(I)
-                div = divisors[I] = (c, c2, N) if N > 0 else (-c, -c2, -N)
-            c, c2, N = div
+            c, c2, N = divisors[I]
             x, y = x * c + d * y * c2, x * c2 + y * c
             corr.append((P, I, x, y))
             S.append((P, E * x, E * y, den.get(I, D0) * N))
@@ -272,7 +270,6 @@ def _iterate(H: IntegrableHamiltonian, Q: PoissonSeries, kolmogorov: bool) -> No
     generators = []
     per_order = []
     for m in range(1, trunc.Dt + 1):
-        # homological_solve reads R per p-degree, so only that order matters
         Rm = current.oscillating_part(m, p_cap)
         eliminated = len(Rm)
         if eliminated:

@@ -270,7 +270,7 @@ class PoissonSeries:
         return out
 
     def _terms(self):
-        """(P, I, J, k, a, b) of every term, in storage order."""
+        """(P, I, J, k, a, b) of every term."""
         decoded = self.trunc._keys
         for P, (a, b) in self._num.items():
             I, J, k, _, _, _ = decoded[P]
@@ -317,8 +317,7 @@ class PoissonSeries:
 
     def oscillating_part(self, k: int, p_max: int) -> "PoissonSeries":
         """Sub-series of the terms of t-degree k, p-degree <= p_max and I != 0,
-        read off the view: each p-degree keeps its storage order, but the
-        p-degrees follow one another in the view's order."""
+        read off the (t, p)-grouped view."""
         zero_I = (0,) * self.trunc.n
         num = {
             P: (a, b)
@@ -442,16 +441,15 @@ class PoissonSeries:
 
 
 def _scaled_copy(pairs: dict, c: int) -> dict:
-    """c times each pair of ``pairs``, in their order."""
+    """c times each pair of ``pairs``."""
     if c == 1:
         return dict(pairs)
     return {P: (a * c, b * c) for P, (a, b) in pairs.items()}
 
 
 def _add_into(num: dict, pairs: dict, c: int) -> None:
-    """Add c times each pair of ``pairs`` to ``num``, in order: a new key is
-    appended, a sum that cancels is deleted, and a key that comes back is
-    appended again."""
+    """Add c times each pair of ``pairs`` to ``num``; a sum that cancels is
+    deleted."""
     for P, (a, b) in pairs.items():
         s = num.get(P)
         if s is None:
@@ -614,7 +612,7 @@ def _apply_translation_flow(order: int, shift, f: PoissonSeries) -> PoissonSerie
     E = lcm(*(c.den for c in parts))
     delta = [(c.a * (E // c.den), c.b * (E // c.den)) for c in parts]
     drops = 0
-    images = []  # (key, shifts, numerator pair), in the order they are made
+    images = []  # (key, shifts, numerator pair)
     for P, _, J, k, a, b in f._terms():
         cut = (Dt - k) // order
         partial = [(P, 0, a, b)]
@@ -662,8 +660,7 @@ def flow_apply(gen: Generator, f: PoissonSeries) -> PoissonSeries:
 
     The Lie series brackets u_m = {u_(m-1), S}, u_0 = f, unscaled, up to
     the first zero u_m, and sums f + sum_m u_m / m! once, over the lcm of
-    D_f and every D(u_m) m!, with its keys in the order a chained
-    ``out + u_m / m!`` leaves them (``_add_into``).
+    D_f and every D(u_m) m!.
     """
     if gen.kind == "translation":
         return _apply_translation_flow(gen.order, gen.shift, f)

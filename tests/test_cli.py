@@ -117,8 +117,8 @@ def _resonant_nf(kind, Dp, Dt, omega, Q, extra_H=()):
 
 
 # Several modes are resonant at the lowest p-degree of a later t-order.  The
-# report names the first of them in the storage order that the generators and
-# flows of the earlier orders leave, so these vectors pin that order.
+# report names the least of them in tuple order, whatever order the
+# generators and flows of the earlier orders store their terms in.
 LATER_RESONANCES = {
     "formal-t2": (
         _resonant_nf("formal-nf", 3, 3, ["1", "1"], [
@@ -126,21 +126,21 @@ LATER_RESONANCES = {
             [[0, -1], [1, 1], 0, "4"], [[0, 0], [0, 1], 0, "5"], [[0, 1], [1, 0], 0, "-1/3"],
             [[0, 1], [1, 1], 0, "2"], [[1, 0], [1, 0], 0, "-4"],
         ], extra_H=[[[0, 0], [1, 1], 0, "5"]]),
-        [-2, 2], 2,
+        [-3, 3], 2,
     ),
     "formal-t3": (
         _resonant_nf("formal-nf", 3, 4, ["2", "-1"], [
             [[-1, 0], [0, 1], 0, "3/2"], [[0, 2], [0, 0], 0, "1/4"], [[1, -1], [0, 0], 0, "-1"],
             [[1, 1], [1, 0], 0, "-1/2"], [[2, 0], [1, 1], 0, "1/2"],
         ]),
-        [2, 4], 3,
+        [1, 2], 3,
     ),
     "kolmogorov-t3": (
         _resonant_nf("kolmogorov-nf", 2, 3, ["1", "1"], [
             [[-2, -1], [0, 1], 0, "-1"], [[0, 2], [0, 2], 0, "5/4"], [[1, -2], [0, 0], 0, "1"],
             [[1, 1], [0, 0], 0, "1/4"],
         ]),
-        [3, -3], 3,
+        [2, -2], 3,
     ),
     "kolmogorov-t3-wide": (
         _resonant_nf("kolmogorov-nf", 2, 4, ["1", "1"], [
@@ -148,7 +148,7 @@ LATER_RESONANCES = {
             [[0, 1], [0, 2], 0, "-5"], [[1, 0], [1, 0], 0, "5/2"], [[1, 2], [1, 0], 0, "-4"],
             [[2, 1], [0, 0], 0, "-2"],
         ]),
-        [-1, 1], 3,
+        [-3, 3], 3,
     ),
 }
 

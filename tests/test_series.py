@@ -497,7 +497,6 @@ def _check_flow_against_chain(gen, f):
     d1 = drop_count()
     got = flow_apply(gen, f)
     assert got == want
-    assert list(got._num) == list(want._num)  # == does not compare storage order
     assert drop_count() - d1 == d1 - d0
     return got
 
@@ -514,7 +513,7 @@ def test_flow_apply_matches_the_chained_lie_series(ctx, mode, rng):
         _check_flow_against_chain(Generator.hamiltonian(S), f.scale(unit))
 
 
-def test_flow_apply_appends_a_key_that_cancels_and_comes_back():
+def test_flow_apply_keeps_a_key_that_cancels_and_comes_back():
     # with S = q t: {f, S} = (d_p f) q t, so for f = -q^2 t^2 + p^2 + p q t
     # u_1 = 2 p q t + q^2 t^2 cancels f's first key and u_2 / 2 = q^2 t^2 brings it back
     tr = TruncationSpec(n=1, Dp=3, Dt=2, Nq=3)
@@ -526,11 +525,10 @@ def test_flow_apply_appends_a_key_that_cancels_and_comes_back():
     got = _check_flow_against_chain(gen, f)
     want = {((0,), (2,), 0): 1, ((1,), (1,), 1): 3, back: 1}
     assert got == PoissonSeries(RATIONAL, tr, "torus", want)
-    assert [key for key, _ in got.items()] == list(want)  # the key that came back is last
 
 
 @pytest.mark.parametrize("ctx", [RATIONAL, quadratic(2)], ids=["rational", "sqrt2"])
-def test_oscillating_part_keeps_the_order_within_each_p_degree(ctx, rng):
+def test_oscillating_part_selects_the_oscillating_terms_of_a_degree(ctx, rng):
     tr = TruncationSpec(n=2, Dp=4, Dt=3, Nq=2)
     for _ in range(20):
         f = random_series(rng, ctx, tr, "torus", n_terms=14, max_absI=2, max_pdeg=4, max_t=3)
@@ -539,7 +537,3 @@ def test_oscillating_part_keeps_the_order_within_each_p_degree(ctx, rng):
                 got = f.oscillating_part(k, p_max)
                 want = f.select(lambda I, J, t: t == k and I != (0, 0) and sum(J) <= p_max)
                 assert got == want
-                for p in range(p_max + 1):
-                    assert [term for term in got.items() if sum(term[0][1]) == p] == [
-                        term for term in want.items() if sum(term[0][1]) == p
-                    ]
